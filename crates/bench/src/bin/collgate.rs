@@ -19,6 +19,12 @@
 //! `--update` rewrites the baseline file from this run. With the
 //! `telemetry` feature compiled out every histogram is empty, so the gate
 //! prints a notice and passes.
+//!
+//! A second, report-only workload covers the small-message path: 8 B
+//! allreduces on two nodes with one task each, where the whole operation
+//! is the collective-network round trip plus the software around it. Its
+//! end-to-end p50 (`coll.allreduce_ns.p50`) goes into `BENCH_coll.json`
+//! next to the gated phases but is never compared against the baseline.
 
 use pami_bench::report;
 
@@ -32,6 +38,43 @@ const PHASES: [&str; 4] = [
     "coll.allreduce.network_ns",
     "coll.bcast.network_ns",
 ];
+
+/// Report-only phase: end-to-end p50 of the 8 B, one-task-per-node
+/// hardware allreduce.
+const SMALL_ALLREDUCE: &str = "coll.allreduce_ns";
+
+/// Allreduces per small-message run; the few cold first operations do
+/// not move a p50 over this many.
+const SMALL_OPS: usize = 2000;
+
+fn run_small_allreduce() -> u64 {
+    use bgq_hw::MemRegion;
+    use pami::Machine;
+    use pami_mpi::{Mpi, MpiConfig};
+
+    let machine = Machine::with_nodes(2).build();
+    machine.run(|env| {
+        let mpi = Mpi::init(&env.machine, env.task, MpiConfig::default());
+        env.machine.task_barrier();
+        let world = mpi.world().clone();
+        world.optimize().expect("2-node world is rectangular");
+        let src = MemRegion::zeroed(8);
+        let dst = MemRegion::zeroed(8);
+        mpi.barrier(&world);
+        for _ in 0..SMALL_OPS {
+            mpi.allreduce(
+                (&src, 0),
+                (&dst, 0),
+                1,
+                pami::CollOp::Sum,
+                pami::DataType::Float64,
+                &world,
+            );
+        }
+    });
+    let snap = machine.telemetry().snapshot();
+    snap.histogram(SMALL_ALLREDUCE).map(|h| h.p50).unwrap_or(0)
+}
 
 fn run_once(rounds: usize) -> Vec<(&'static str, u64)> {
     use bgq_hw::MemRegion;
@@ -105,9 +148,12 @@ fn main() {
         }
     }
 
+    let small = (0..3).map(|_| run_small_allreduce()).min().unwrap_or(0);
+
     let mut json = String::from("{\n  \"bench\": \"collgate\",\n");
     json.push_str(&format!("  \"rounds\": {rounds},\n  \"counters\": {{"));
-    for (i, (name, p50)) in best.iter().enumerate() {
+    let report_only = [(SMALL_ALLREDUCE, small)];
+    for (i, (name, p50)) in best.iter().chain(&report_only).enumerate() {
         if i > 0 {
             json.push(',');
         }
@@ -160,6 +206,9 @@ fn main() {
             "ok"
         };
         println!("{key:<30}{base:>12}{now:>12}{delta_pct:>+9.1}%  {verdict}");
+    }
+    for (name, now) in &report_only {
+        println!("{:<30}{:>12}{now:>12}{:>10}  report only", format!("{name}.p50"), "-", "-");
     }
     if failed {
         eprintln!("collgate: per-phase p50 regression beyond {tolerance:.0}% — failing");

@@ -10,10 +10,13 @@
 //! set of communicators rotates through the available routes.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use bgq_torus::trees::TreeKind;
 use bgq_torus::{Coords, Rectangle, SpanningTree, TorusShape, ALL_DIMS};
 use parking_lot::Mutex;
+
+use crate::combiner::CombineTable;
 
 /// Classroutes a node can participate in.
 pub const NUM_CLASSROUTES: usize = 16;
@@ -52,6 +55,12 @@ impl std::error::Error for ClassRouteError {}
 
 /// A programmed classroute: the id, the rectangle it covers, and the
 /// combine tree the routers follow.
+///
+/// Each successful [`ClassRouteManager::allocate`] creates a fresh combine
+/// table (the in-flight collective state) that clones of the route share. The table belongs to the
+/// allocation, not to the id: after a `free`, a new allocation of the same
+/// id — possibly over a different rectangle — matches its contributions
+/// from sequence 0.
 #[derive(Debug, Clone)]
 pub struct ClassRoute {
     /// Route id, identical on every member node.
@@ -62,6 +71,8 @@ pub struct ClassRoute {
     pub root: Coords,
     /// The router tree.
     pub tree: SpanningTree,
+    /// This allocation's in-flight collective state.
+    pub(crate) table: Arc<CombineTable>,
 }
 
 impl ClassRoute {
@@ -134,7 +145,7 @@ impl ClassRouteManager {
         }
         state.live.insert(id, rect);
         let tree = SpanningTree::build(self.shape, rect, root, TreeKind::DimOrdered(ALL_DIMS));
-        Ok(ClassRoute { id: ClassRouteId(id), rect, root, tree })
+        Ok(ClassRoute { id: ClassRouteId(id), rect, root, tree, table: Arc::default() })
     }
 
     /// Release a route's id on all its member nodes ("deoptimize").

@@ -29,6 +29,6 @@ pub mod ops;
 
 pub use classroute::{ClassRoute, ClassRouteError, ClassRouteId, ClassRouteManager,
     NUM_CLASSROUTES, SYSTEM_RESERVED_ROUTES};
-pub use combiner::{CollContribution, CollNet, CollOutput};
+pub use combiner::{CollContribution, CollNet, CollOutput, Operand};
 pub use gi::{GiBarrier, GiPhase};
 pub use ops::{combine, CollOp, DataType, ELEM_BYTES};

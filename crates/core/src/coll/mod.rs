@@ -27,7 +27,7 @@
 
 use std::sync::Arc;
 
-use bgq_collnet::{CollContribution, CollOp, CollOutput, DataType};
+use bgq_collnet::{ClassRoute, CollContribution, CollOp, CollOutput, DataType, Operand};
 use bgq_hw::{Counter, MemRegion};
 use bgq_mu::PayloadSource;
 use bgq_upc::{Histogram, Stamp, Upc};
@@ -259,11 +259,56 @@ fn forced_name(
     }
 }
 
-fn lookup(geom: &Geometry, kind: CollKind, forced: Option<&str>) -> Arc<AlgEntry> {
-    let reg = geom.machine().coll_registry();
+/// One member's cache for the public collectives, held in its
+/// [`crate::geometry::MemberState`]. The selected entries and the classroute
+/// handle are valid for one (registry generation, route epoch) key and are
+/// rebuilt when either moves; the completion counter is reused by every
+/// hardware allreduce the member leads.
+#[derive(Default)]
+pub(crate) struct MemberCache {
+    key: Option<(u64, u64)>,
+    route: Option<Arc<ClassRoute>>,
+    /// Private copies of the auto-selected entries: cloning one bumps a
+    /// reference count only this member touches.
+    selected: [Option<Arc<AlgEntry>>; CollKind::COUNT],
+    done: Option<Counter>,
+}
+
+impl MemberCache {
+    fn refresh(&mut self, geom: &Geometry) {
+        // Read the key before the route and the predicates: a change that
+        // lands after this read moves the key again, so the next call
+        // rebuilds.
+        let key = (geom.machine().coll_registry().generation(), geom.route_epoch());
+        if self.key != Some(key) {
+            self.key = Some(key);
+            self.route = geom.route();
+            self.selected = Default::default();
+        }
+    }
+
+    fn select(&mut self, geom: &Geometry, kind: CollKind) -> Arc<AlgEntry> {
+        self.refresh(geom);
+        let entry = self.selected[kind as usize].get_or_insert_with(|| {
+            let shared = geom.machine().coll_registry().select(kind, geom);
+            Arc::new(AlgEntry::clone(&shared))
+        });
+        Arc::clone(entry)
+    }
+
+    /// The classroute and completion counter of this member's hardware
+    /// allreduce.
+    fn hw(&mut self, geom: &Geometry) -> (&ClassRoute, &Counter) {
+        self.refresh(geom);
+        let route = self.route.as_deref().expect("hw path requires a classroute");
+        (route, self.done.get_or_insert_with(Counter::new))
+    }
+}
+
+fn lookup(geom: &Geometry, ctx: &Context, kind: CollKind, forced: Option<&str>) -> Arc<AlgEntry> {
     match forced {
-        Some(name) => reg.forced(kind, name),
-        None => reg.select(kind, geom),
+        Some(name) => geom.machine().coll_registry().forced(kind, name),
+        None => geom.member(ctx.task()).cache.lock().select(geom, kind),
     }
 }
 
@@ -337,7 +382,7 @@ fn barrier_dispatch(geom: &Geometry, ctx: &Context, forced: Option<&str>) {
     // though the barrier itself never touches the board.
     let seq = geom.next_seq(ctx.task());
     if geom.size() > 1 {
-        let entry = lookup(geom, CollKind::Barrier, forced);
+        let entry = lookup(geom, ctx, CollKind::Barrier, forced);
         match entry.exec() {
             AlgExec::Barrier(f) => f(geom, ctx, seq),
             _ => unreachable!("barrier entry with a non-barrier body"),
@@ -454,7 +499,7 @@ fn broadcast_dispatch(
     // bytes is a no-op but collective ordering must stay aligned).
     let seq = geom.next_seq(ctx.task());
     if geom.size() > 1 && len > 0 {
-        let entry = lookup(geom, CollKind::Broadcast, forced);
+        let entry = lookup(geom, ctx, CollKind::Broadcast, forced);
         match entry.exec() {
             AlgExec::Broadcast(f) => f(geom, ctx, seq, root_rank, region, offset, len),
             _ => unreachable!("broadcast entry with a non-broadcast body"),
@@ -481,6 +526,8 @@ fn hw_broadcast(
     let root_task = geom.topology().task_at(root_rank);
     let root_node = machine.task_node(root_task);
     let is_leader = me == group.leader;
+    // A node with one task has no peers to share the board with.
+    let shared = group.tasks.len() > 1;
 
     // A non-leader root shares its buffer so the leader can inject from it.
     if me == root_task && !is_leader {
@@ -510,13 +557,11 @@ fn hw_broadcast(
             let mut sent = 0usize;
             while sent < len {
                 let chunk = (len - sent).min(PIPELINE_SLICE);
-                let mut data = vec![0u8; chunk];
-                src_region.read(src_off + sent, &mut data);
                 machine.collnet().contribute(
                     &route,
                     coords,
                     CollContribution::Broadcast {
-                        data: Some(data),
+                        data: Some(Operand::new(&src_region, src_off + sent, chunk)),
                         len: chunk,
                         output: Some(CollOutput {
                             region: region.clone(),
@@ -553,11 +598,16 @@ fn hw_broadcast(
         let probes = machine.coll_probes();
         probes.bcast_network_ns.record_since(net_start);
         machine.telemetry().trace_span("coll.bcast.network", net_start, len as u64);
-        group.board.post(
-            seq,
-            SLOT_RESULT,
-            BoardEntry::Region { region: region.clone(), offset, len },
-        );
+        if shared {
+            group.board.post(
+                seq,
+                SLOT_RESULT,
+                BoardEntry::Region { region: region.clone(), offset, len },
+            );
+        }
+    }
+    if !shared {
+        return;
     }
     local_barrier(geom, ctx);
     if !is_leader && me != root_task {
@@ -694,7 +744,7 @@ fn allreduce_dispatch(
         if geom.size() == 1 {
             dst.0.copy_from(dst.1, src.0, src.1, count * ELEM);
         } else {
-            let entry = lookup(geom, CollKind::Allreduce, forced);
+            let entry = lookup(geom, ctx, CollKind::Allreduce, forced);
             match entry.exec() {
                 AlgExec::Allreduce(f) => f(geom, ctx, seq, src, dst, count, op, dtype),
                 _ => unreachable!("allreduce entry with a non-allreduce body"),
@@ -734,7 +784,7 @@ pub fn reduce(
         dst.0.copy_from(dst.1, src.0, src.1, count * ELEM);
         return;
     }
-    let entry = lookup(geom, CollKind::Reduce, None);
+    let entry = lookup(geom, ctx, CollKind::Reduce, None);
     match entry.exec() {
         AlgExec::Reduce(f) => f(geom, ctx, seq, root_rank, src, dst, count, op, dtype),
         _ => unreachable!("reduce entry with a non-reduce body"),
@@ -760,14 +810,18 @@ fn hw_allreduce(
     op: CollOp,
     dtype: DataType,
 ) {
-    let route = geom.route().expect("hw path requires a classroute");
+    let group = geom.group(ctx.node());
+    let len = count * ELEM;
+    if group.tasks.len() == 1 {
+        // The task is its node's leader and has no peers: no board, no
+        // local barriers, straight to the network.
+        allreduce_network(geom, ctx, src, dst, len, op, dtype);
+        return;
+    }
     let machine = geom.machine();
-    let node = ctx.node();
-    let group = geom.group(node);
     let me = ctx.task();
     let is_leader = me == group.leader;
     let ppn = group.tasks.len();
-    let len = count * ELEM;
     let slot = group.slot_of(me);
 
     // Every member publishes its input; the leader publishes the node
@@ -777,87 +831,45 @@ fn hw_allreduce(
         slot,
         BoardEntry::Region { region: src.0.clone(), offset: src.1, len },
     );
-    let _nodebuf = if ppn > 1 {
-        let buf = MemRegion::zeroed(len);
-        if is_leader {
-            group.board.post(
-                seq,
-                SLOT_NODEBUF,
-                BoardEntry::Region { region: buf.clone(), offset: 0, len },
-            );
-        }
-        Some(buf)
-    } else {
-        None
-    };
+    if is_leader {
+        group.board.post(
+            seq,
+            SLOT_NODEBUF,
+            BoardEntry::Region { region: MemRegion::zeroed(len), offset: 0, len },
+        );
+    }
     local_barrier(geom, ctx);
 
     // Parallel local math: each member combines everyone's input over its
     // slice of elements and deposits into the node buffer (Figure 3).
     let local_start = Stamp::now();
-    let node_src: (MemRegion, usize) = if ppn > 1 {
-        let (buf, buf_off, _) = entry_region(wait_board(geom, ctx, seq, SLOT_NODEBUF));
-        let (lo, hi) = partition(count, ppn, slot as usize);
-        if hi > lo {
-            let byte_lo = lo * ELEM;
-            let bytes = (hi - lo) * ELEM;
-            let mut acc = vec![0u8; bytes];
-            let (r0, o0, _) = entry_region(
-                group.board.get(seq, 0).expect("slot 0 posted before barrier"),
+    let (buf, buf_off, _) = entry_region(wait_board(geom, ctx, seq, SLOT_NODEBUF));
+    let (lo, hi) = partition(count, ppn, slot as usize);
+    if hi > lo {
+        let byte_lo = lo * ELEM;
+        let bytes = (hi - lo) * ELEM;
+        let mut acc = vec![0u8; bytes];
+        let (r0, o0, _) = entry_region(
+            group.board.get(seq, 0).expect("slot 0 posted before barrier"),
+        );
+        r0.read(o0 + byte_lo, &mut acc);
+        let mut contrib = vec![0u8; bytes];
+        for p in 1..ppn as u32 {
+            let (rp, op_, _) = entry_region(
+                group.board.get(seq, p).expect("all slots posted before barrier"),
             );
-            r0.read(o0 + byte_lo, &mut acc);
-            let mut contrib = vec![0u8; bytes];
-            for p in 1..ppn as u32 {
-                let (rp, op_, _) = entry_region(
-                    group.board.get(seq, p).expect("all slots posted before barrier"),
-                );
-                rp.read(op_ + byte_lo, &mut contrib);
-                bgq_collnet::combine(op, dtype, &mut acc, &contrib);
-            }
-            buf.write(buf_off + byte_lo, &acc);
+            rp.read(op_ + byte_lo, &mut contrib);
+            bgq_collnet::combine(op, dtype, &mut acc, &contrib);
         }
-        local_barrier(geom, ctx);
-        let probes = machine.coll_probes();
-        probes.allreduce_local_ns.record_since(local_start);
-        machine.telemetry().trace_span("coll.allreduce.local", local_start, len as u64);
-        (buf, buf_off)
-    } else {
-        (src.0.clone(), src.1)
-    };
+        buf.write(buf_off + byte_lo, &acc);
+    }
+    local_barrier(geom, ctx);
+    let probes = machine.coll_probes();
+    probes.allreduce_local_ns.record_since(local_start);
+    machine.telemetry().trace_span("coll.allreduce.local", local_start, len as u64);
 
     if is_leader {
-        let net_start = Stamp::now();
-        let coords = machine.shape().coords_of(node as usize);
-        let done = Counter::new();
-        done.add_expected(len as u64);
-        // Pipelined network contributions, in slice order (Figure 4: "the
-        // ordering of injection is maintained across all the masters").
-        let mut sent = 0usize;
-        while sent < len {
-            let chunk = (len - sent).min(PIPELINE_SLICE);
-            let mut data = vec![0u8; chunk];
-            node_src.0.read(node_src.1 + sent, &mut data);
-            machine.collnet().contribute(
-                &route,
-                coords,
-                CollContribution::Allreduce {
-                    op,
-                    dtype,
-                    data,
-                    output: CollOutput {
-                        region: dst.0.clone(),
-                        offset: dst.1 + sent,
-                        counter: Some(done.clone()),
-                        wakeup: None,
-                    },
-                },
-            );
-            sent += chunk;
-        }
-        ctx.advance_until(|| done.is_complete());
-        let probes = machine.coll_probes();
-        probes.allreduce_network_ns.record_since(net_start);
-        machine.telemetry().trace_span("coll.allreduce.network", net_start, len as u64);
+        allreduce_network(geom, ctx, (&buf, buf_off), dst, len, op, dtype);
         group.board.post(
             seq,
             SLOT_RESULT,
@@ -873,6 +885,57 @@ fn hw_allreduce(
     if is_leader {
         group.board.clear_seq(seq);
     }
+}
+
+/// The leader's network phase of the hardware allreduce: contribute the
+/// node's operand in pipelined slices, in slice order (Figure 4: "the
+/// ordering of injection is maintained across all the masters"), and wait
+/// for the result in `dst`. The network reads each slice straight out of
+/// `node_src`, and the phase runs on the member's cached classroute and
+/// completion counter, so in steady state it allocates nothing and takes no
+/// shared lock but the route's combine window.
+fn allreduce_network(
+    geom: &Geometry,
+    ctx: &Context,
+    node_src: (&MemRegion, usize),
+    dst: (&MemRegion, usize),
+    len: usize,
+    op: CollOp,
+    dtype: DataType,
+) {
+    let machine = geom.machine();
+    let net_start = Stamp::now();
+    let coords = machine.shape().coords_of(ctx.node() as usize);
+    let done = {
+        let mut cache = geom.member(ctx.task()).cache.lock();
+        let (route, done) = cache.hw(geom);
+        done.add_expected(len as u64);
+        let mut sent = 0usize;
+        while sent < len {
+            let chunk = (len - sent).min(PIPELINE_SLICE);
+            machine.collnet().contribute(
+                route,
+                coords,
+                CollContribution::Allreduce {
+                    op,
+                    dtype,
+                    data: Operand::new(node_src.0, node_src.1 + sent, chunk),
+                    output: CollOutput {
+                        region: dst.0.clone(),
+                        offset: dst.1 + sent,
+                        counter: Some(done.clone()),
+                        wakeup: None,
+                    },
+                },
+            );
+            sent += chunk;
+        }
+        done.clone()
+    };
+    ctx.advance_until(|| done.is_complete());
+    let probes = machine.coll_probes();
+    probes.allreduce_network_ns.record_since(net_start);
+    machine.telemetry().trace_span("coll.allreduce.network", net_start, len as u64);
 }
 
 /// Software allreduce body: binomial reduce to relative rank 0, then
@@ -1102,7 +1165,7 @@ pub fn gather(
         dst.0.copy_from(dst.1, src.0, src.1, blk);
         return;
     }
-    match lookup(geom, CollKind::Gather, None).exec() {
+    match lookup(geom, ctx, CollKind::Gather, None).exec() {
         AlgExec::Block(f) => f(geom, ctx, seq, root_rank, src, dst, blk),
         _ => unreachable!("gather entry with a non-block body"),
     }
@@ -1198,7 +1261,7 @@ pub fn scatter(
         dst.0.copy_from(dst.1, src.0, src.1, blk);
         return;
     }
-    match lookup(geom, CollKind::Scatter, None).exec() {
+    match lookup(geom, ctx, CollKind::Scatter, None).exec() {
         AlgExec::Block(f) => f(geom, ctx, seq, root_rank, src, dst, blk),
         _ => unreachable!("scatter entry with a non-block body"),
     }
@@ -1313,7 +1376,7 @@ pub fn allgather(
     if geom.size() == 1 {
         return;
     }
-    match lookup(geom, CollKind::Allgather, None).exec() {
+    match lookup(geom, ctx, CollKind::Allgather, None).exec() {
         AlgExec::Exchange(f) => f(geom, ctx, seq, src, dst, blk),
         _ => unreachable!("allgather entry with a non-exchange body"),
     }
@@ -1371,7 +1434,7 @@ pub fn alltoall(
     if geom.size() == 1 {
         return;
     }
-    match lookup(geom, CollKind::Alltoall, None).exec() {
+    match lookup(geom, ctx, CollKind::Alltoall, None).exec() {
         AlgExec::Exchange(f) => f(geom, ctx, seq, src, dst, blk),
         _ => unreachable!("alltoall entry with a non-exchange body"),
     }

@@ -14,10 +14,20 @@
 //! The registry is machine-wide (one per [`crate::machine::Machine`], like
 //! the dispatch tables): availability is evaluated *per geometry* at query
 //! and selection time, so one registry serves every communicator.
+//!
+//! The public collectives do not walk the registry on every call: each
+//! geometry member caches its auto-selected entry per [`CollKind`], keyed
+//! on the registry's [`CollRegistry::generation`] (bumped by every
+//! successful [`CollRegistry::register`]) and the geometry's route epoch
+//! (bumped by `optimize`/`deoptimize`). Availability predicates must
+//! therefore depend only on the geometry's shape and its classroute —
+//! which every builtin and layered predicate does.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bgq_collnet::{CollOp, DataType};
+use crossbeam::utils::CachePadded;
 use bgq_hw::MemRegion;
 use parking_lot::RwLock;
 
@@ -35,6 +45,11 @@ pub enum CollKind {
     Scatter,
     Allgather,
     Alltoall,
+}
+
+impl CollKind {
+    /// Number of kinds (the size of a per-kind table).
+    pub(crate) const COUNT: usize = 8;
 }
 
 /// Availability predicate: can this algorithm run on this geometry *right
@@ -152,12 +167,26 @@ pub struct AlgInfo {
 /// The machine-wide registry of collective algorithms.
 pub struct CollRegistry {
     entries: RwLock<Vec<Arc<AlgEntry>>>,
+    /// Bumped after every insertion; selection caches compare it. Padded so
+    /// the read-mostly word does not share a line with the lock.
+    generation: CachePadded<AtomicU64>,
 }
 
 impl CollRegistry {
     /// An empty registry.
     pub fn new() -> CollRegistry {
-        CollRegistry { entries: RwLock::new(Vec::new()) }
+        CollRegistry {
+            entries: RwLock::new(Vec::new()),
+            generation: CachePadded::new(AtomicU64::new(0)),
+        }
+    }
+
+    /// How many times the entry list has changed. A selection made at
+    /// generation `g` is stale once this returns anything else. (The
+    /// Acquire pairs with the Release bump in [`Self::register`]; the
+    /// entries themselves are read under the lock.)
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
     }
 
     /// A registry pre-populated with every algorithm the core crate ships.
@@ -176,6 +205,7 @@ impl CollRegistry {
             return false;
         }
         entries.push(Arc::new(entry));
+        self.generation.fetch_add(1, Ordering::Release);
         true
     }
 

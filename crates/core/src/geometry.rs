@@ -10,12 +10,14 @@
 //! [`Geometry::deoptimize`]s — exactly the MPIX scheme of section III.D.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bgq_collnet::{ClassRoute, ClassRouteError};
 use bgq_hw::{L2Counter, MemRegion};
 use bgq_torus::Rectangle;
 use bytes::Bytes;
+use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 
 use crate::context::{Context, IncomingMsg, Recv};
@@ -134,6 +136,16 @@ struct GeometryRegistry {
     map: Mutex<HashMap<u32, Arc<Geometry>>>,
 }
 
+/// One member's collective state, on lines of its own: its sequence
+/// counter and its cache of selected algorithms, classroute handle and
+/// completion counter (see [`crate::coll`]). In steady state only the member's own
+/// thread touches it, so a collective call moves no shared line to find
+/// its sequence number or its algorithm.
+pub(crate) struct MemberState {
+    seq: AtomicU64,
+    pub(crate) cache: Mutex<crate::coll::MemberCache>,
+}
+
 /// A task group plus its collective machinery. Shared (one `Arc`) by every
 /// member task; create collectively with [`Geometry::create`].
 pub struct Geometry {
@@ -147,8 +159,10 @@ pub struct Geometry {
     /// The exact node rectangle, when the member nodes form one.
     node_rect: Option<Rectangle>,
     route: Mutex<Option<Arc<ClassRoute>>>,
-    /// Per-task next collective sequence number.
-    seqs: Mutex<HashMap<u32, u64>>,
+    /// Bumped after every change of `route`; member caches compare it.
+    route_epoch: CachePadded<AtomicU64>,
+    /// Per-member state, indexed by rank.
+    members: Box<[CachePadded<MemberState>]>,
     /// Software-collective receive store: (dst task, tag, src task) → data.
     sw_store: Mutex<HashMap<(u32, u64, u32), Vec<u8>>>,
 }
@@ -215,6 +229,14 @@ impl Geometry {
             .collect();
         let node_rect = Rectangle::exactly_covers(&coords);
         let gi = bgq_collnet::GiBarrier::new(nodes.len());
+        let members = (0..topology.size())
+            .map(|_| {
+                CachePadded::new(MemberState {
+                    seq: AtomicU64::new(0),
+                    cache: Mutex::new(crate::coll::MemberCache::default()),
+                })
+            })
+            .collect();
         Geometry {
             id,
             topology,
@@ -224,7 +246,8 @@ impl Geometry {
             gi,
             node_rect,
             route: Mutex::new(None),
-            seqs: Mutex::new(HashMap::new()),
+            route_epoch: CachePadded::new(AtomicU64::new(0)),
+            members,
             sw_store: Mutex::new(HashMap::new()),
         }
     }
@@ -330,7 +353,16 @@ impl Geometry {
         let rect = self.node_rect.ok_or(ClassRouteError::NotRectangular)?;
         let r = self.machine.classroutes().allocate(rect, None)?;
         *route = Some(Arc::new(r));
+        self.route_epoch.fetch_add(1, Ordering::Release);
         Ok(())
+    }
+
+    /// How many times the classroute has been attached or released. Every
+    /// member's selection cache is stale once this moves, whichever task
+    /// called [`Self::optimize`]/[`Self::deoptimize`]. Both bump it with
+    /// Release after changing the route, under the route lock.
+    pub(crate) fn route_epoch(&self) -> u64 {
+        self.route_epoch.load(Ordering::Acquire)
     }
 
     /// Query the collective algorithm list for this geometry — the
@@ -344,20 +376,32 @@ impl Geometry {
     /// Release the classroute ("deoptimize") so another geometry can use
     /// the id. Collectives fall back to the software algorithms.
     pub fn deoptimize(&self) {
-        if let Some(route) = self.route.lock().take() {
-            self.machine.classroutes().free(&route);
+        let mut route = self.route.lock();
+        if let Some(r) = route.take() {
+            self.machine.classroutes().free(&r);
+            self.route_epoch.fetch_add(1, Ordering::Release);
         }
+    }
+
+    /// The collective state of member `task`.
+    ///
+    /// # Panics
+    /// If `task` is not a member.
+    pub(crate) fn member(&self, task: u32) -> &MemberState {
+        let rank = self
+            .rank_of(task)
+            .unwrap_or_else(|| panic!("task {task} is not a member of geometry {}", self.id));
+        &self.members[rank]
     }
 
     /// Next collective sequence number for `task`. Every member consumes
     /// sequence numbers in the same (program) order, which is what matches
     /// their contributions up.
+    ///
+    /// # Panics
+    /// If `task` is not a member.
     pub fn next_seq(&self, task: u32) -> u64 {
-        let mut seqs = self.seqs.lock();
-        let s = seqs.entry(task).or_insert(0);
-        let v = *s;
-        *s += 1;
-        v
+        self.member(task).seq.fetch_add(1, Ordering::Relaxed)
     }
 
     // ---- software-collective point-to-point helpers ----------------------

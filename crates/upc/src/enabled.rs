@@ -10,25 +10,68 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Number of exclusive per-thread stripes per counter. The first `STRIPES`
-/// threads to touch telemetry each own one stripe and bump it with a non-RMW
-/// relaxed load+store (exact, because a stripe has exactly one writer);
-/// threads beyond that share an overflow cell via `fetch_add`.
+/// Number of exclusive per-thread stripes per counter and histogram. Each
+/// live thread holding one of the first `STRIPES` stripe slots owns that
+/// stripe and bumps it with non-RMW relaxed load+stores (exact, because a
+/// stripe has exactly one writer); threads beyond that share an overflow
+/// cell via `fetch_add`.
 const STRIPES: usize = 16;
 
 const DEFAULT_TRACE_CAP: usize = 4096;
 
 // -- process-global thread slots and epoch ----------------------------------
 
-static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
+/// Trace thread ids: unique per thread and never reused, so a merged
+/// timeline never puts two threads on one row.
+static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(0);
+
+/// Stripe slots: a live thread holds one until it exits, then the slot
+/// returns to [`FREE_STRIPE_SLOTS`] for the next thread. Recycling keeps
+/// the live threads of a long process (a benchmark that builds a machine,
+/// and so spawns fresh task threads, per repetition) on exclusive stripes
+/// instead of piling onto the overflow cell. Ownership passes through the
+/// free-list mutex, so the single-writer rule holds across the hand-off.
+static NEXT_STRIPE_SLOT: AtomicUsize = AtomicUsize::new(0);
+static FREE_STRIPE_SLOTS: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+
+struct StripeSlot(usize);
+
+impl StripeSlot {
+    fn claim() -> StripeSlot {
+        let mut free = FREE_STRIPE_SLOTS.lock().unwrap_or_else(|p| p.into_inner());
+        // Lowest free slot first: low slots are the exclusive stripes.
+        let lowest = free.iter().enumerate().min_by_key(|(_, s)| **s).map(|(i, _)| i);
+        match lowest {
+            Some(i) => StripeSlot(free.swap_remove(i)),
+            None => StripeSlot(NEXT_STRIPE_SLOT.fetch_add(1, Ordering::Relaxed)),
+        }
+    }
+}
+
+impl Drop for StripeSlot {
+    fn drop(&mut self) {
+        FREE_STRIPE_SLOTS
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .push(self.0);
+    }
+}
 
 thread_local! {
-    static THREAD_SLOT: usize = NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed);
+    static THREAD_ID: u64 = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
+    static STRIPE_SLOT: StripeSlot = StripeSlot::claim();
 }
 
 #[inline]
-fn thread_slot() -> usize {
-    THREAD_SLOT.with(|s| *s)
+fn thread_id() -> u64 {
+    THREAD_ID.with(|t| *t)
+}
+
+/// The calling thread's stripe slot; `usize::MAX` (the overflow cell) once
+/// the thread's slot has been released during thread exit.
+#[inline]
+fn stripe_slot() -> usize {
+    STRIPE_SLOT.try_with(|s| s.0).unwrap_or(usize::MAX)
 }
 
 fn epoch() -> Instant {
@@ -101,8 +144,8 @@ impl CounterCell {
 }
 
 /// Lock-free event counter: cache-padded per-thread stripes aggregated at
-/// read time. `add` is a couple of nanoseconds and never contends for the
-/// first [`STRIPES`] threads in the process.
+/// read time. `add` is a couple of nanoseconds and never contends while at
+/// most [`STRIPES`] threads are live.
 #[derive(Clone)]
 pub struct Counter {
     cell: Arc<CounterCell>,
@@ -111,7 +154,7 @@ pub struct Counter {
 impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
-        let slot = thread_slot();
+        let slot = stripe_slot();
         if slot < STRIPES {
             // Exclusive stripe: single writer, so a non-RMW relaxed
             // load+store is exact and avoids the locked-bus RMW cost.
@@ -157,16 +200,24 @@ impl Counter {
 
 // -- histograms -------------------------------------------------------------
 
-struct HistCell {
+/// One stripe of a histogram: the bucket counts plus count/sum/max.
+struct HistStripe {
     buckets: [AtomicU64; HIST_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
 
-impl HistCell {
+/// Single-writer bump: a relaxed load+store, exact because only the owning
+/// thread writes an exclusive stripe.
+#[inline]
+fn bump(a: &AtomicU64, n: u64) {
+    a.store(a.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+}
+
+impl HistStripe {
     fn new() -> Self {
-        HistCell {
+        HistStripe {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
@@ -174,13 +225,75 @@ impl HistCell {
         }
     }
 
-    fn load_raw(&self) -> RawHist {
-        RawHist {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
+    /// Record from the stripe's owning thread.
+    #[inline]
+    fn record_exclusive(&self, v: u64) {
+        bump(&self.buckets[bucket_index(v)], 1);
+        bump(&self.count, 1);
+        bump(&self.sum, v);
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.store(v, Ordering::Relaxed);
         }
+    }
+
+    /// Record from any thread (the overflow cell).
+    #[inline]
+    fn record_shared(&self, v: u64) {
+        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
+    }
+
+    fn merge_into(&self, raw: &mut RawHist) {
+        for (a, b) in raw.buckets.iter_mut().zip(&self.buckets) {
+            *a += b.load(Ordering::Relaxed);
+        }
+        raw.count += self.count.load(Ordering::Relaxed);
+        raw.sum = raw.sum.wrapping_add(self.sum.load(Ordering::Relaxed));
+        raw.max = raw.max.max(self.max.load(Ordering::Relaxed));
+    }
+}
+
+/// A histogram's storage: per-thread stripes like [`CounterCell`]'s plus,
+/// at index [`STRIPES`], the shared overflow stripe. Each stripe is
+/// allocated on its first record, so a histogram nobody records into costs
+/// no stripe memory and creating one (every machine registers dozens) is
+/// cheap.
+struct HistCell {
+    stripes: [OnceLock<Box<CachePadded<HistStripe>>>; STRIPES + 1],
+}
+
+impl HistCell {
+    fn new() -> Self {
+        HistCell { stripes: std::array::from_fn(|_| OnceLock::new()) }
+    }
+
+    fn stripe(&self, i: usize) -> &HistStripe {
+        self.stripes[i].get_or_init(|| Box::new(CachePadded::new(HistStripe::new())))
+    }
+
+    #[inline]
+    fn record(&self, v: u64) {
+        let slot = stripe_slot();
+        if slot < STRIPES {
+            self.stripe(slot).record_exclusive(v);
+        } else {
+            self.stripe(STRIPES).record_shared(v);
+        }
+    }
+
+    fn load_raw(&self) -> RawHist {
+        let mut raw = RawHist::zero();
+        for stripe in self.stripes.iter().filter_map(OnceLock::get) {
+            stripe.merge_into(&mut raw);
+        }
+        raw
+    }
+
+    #[cfg(test)]
+    fn allocated_stripes(&self) -> usize {
+        self.stripes.iter().filter(|s| s.get().is_some()).count()
     }
 }
 
@@ -259,8 +372,10 @@ impl RawHist {
 }
 
 /// Power-of-two-bucket latency histogram (HDR-style): bucket 0 holds the
-/// value 0, bucket `k` holds `[2^(k-1), 2^k-1]`. Recording is four relaxed
-/// RMWs — cheap enough for per-operation latencies off the per-packet path.
+/// value 0, bucket `k` holds `[2^(k-1), 2^k-1]`. Recording goes to the
+/// calling thread's own stripe with plain relaxed load+stores, so the
+/// per-operation probes on a hot path move no shared cache lines; reads
+/// merge the stripes.
 #[derive(Clone)]
 pub struct Histogram {
     cell: Arc<HistCell>,
@@ -269,11 +384,7 @@ pub struct Histogram {
 impl Histogram {
     #[inline]
     pub fn record(&self, v: u64) {
-        let c = &self.cell;
-        c.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        c.count.fetch_add(1, Ordering::Relaxed);
-        c.sum.fetch_add(v, Ordering::Relaxed);
-        c.max.fetch_max(v, Ordering::Relaxed);
+        self.cell.record(v);
     }
 
     /// Record the nanoseconds elapsed since `start`.
@@ -283,19 +394,19 @@ impl Histogram {
     }
 
     pub fn count(&self) -> u64 {
-        self.cell.count.load(Ordering::Relaxed)
+        self.cell.load_raw().count
     }
 
     pub fn sum(&self) -> u64 {
-        self.cell.sum.load(Ordering::Relaxed)
+        self.cell.load_raw().sum
     }
 
     pub fn max(&self) -> u64 {
-        self.cell.max.load(Ordering::Relaxed)
+        self.cell.load_raw().max
     }
 
     pub fn bucket_count(&self, i: usize) -> u64 {
-        self.cell.buckets[i].load(Ordering::Relaxed)
+        self.cell.load_raw().buckets[i]
     }
 
     pub fn quantile(&self, q: f64) -> u64 {
@@ -384,9 +495,20 @@ impl TraceRing {
     }
 }
 
+/// One thread's trace state for one registry: its ring, and the interned
+/// ids of the event names it has used, keyed by the name's address and
+/// length. Repeat spans resolve their name here instead of under the
+/// registry's `names` mutex.
+struct ThreadTrace {
+    registry: u64,
+    ring: Arc<TraceRing>,
+    names: Vec<(usize, usize, u64)>,
+}
+
 thread_local! {
-    /// Registry-id → ring map for the current thread (tiny, linear scan).
-    static THREAD_RINGS: RefCell<Vec<(u64, Arc<TraceRing>)>> = const { RefCell::new(Vec::new()) };
+    /// The calling thread's trace state, one entry per registry it has
+    /// traced into (tiny, linear scan).
+    static THREAD_TRACES: RefCell<Vec<ThreadTrace>> = const { RefCell::new(Vec::new()) };
 
     /// Per-thread trace-ring capacity override (see
     /// [`Upc::set_thread_trace_capacity`]). Consulted once, when the thread
@@ -491,20 +613,34 @@ impl Upc {
         THREAD_TRACE_CAP.with(|c| *c.borrow_mut() = cap.map(|n| n.max(8).next_power_of_two()));
     }
 
-    fn ring(&self) -> Arc<TraceRing> {
+    /// Push one event, built from its interned name id, onto the calling
+    /// thread's ring for this registry (created on first use).
+    fn push_event(&self, name: &'static str, event: impl FnOnce(u64) -> [u64; 4]) {
         let id = self.inner.id;
-        THREAD_RINGS.with(|rings| {
-            let mut rings = rings.borrow_mut();
-            if let Some((_, r)) = rings.iter().find(|(rid, _)| *rid == id) {
-                return r.clone();
-            }
-            let cap = THREAD_TRACE_CAP
-                .with(|c| *c.borrow())
-                .unwrap_or(self.inner.trace_cap);
-            let r = Arc::new(TraceRing::new(thread_slot() as u64, cap));
-            self.inner.rings.lock().unwrap().push(r.clone());
-            rings.push((id, r.clone()));
-            r
+        THREAD_TRACES.with(|traces| {
+            let mut traces = traces.borrow_mut();
+            let t = match traces.iter().position(|t| t.registry == id) {
+                Some(i) => &mut traces[i],
+                None => {
+                    let cap = THREAD_TRACE_CAP
+                        .with(|c| *c.borrow())
+                        .unwrap_or(self.inner.trace_cap);
+                    let ring = Arc::new(TraceRing::new(thread_id(), cap));
+                    self.inner.rings.lock().unwrap().push(ring.clone());
+                    traces.push(ThreadTrace { registry: id, ring, names: Vec::new() });
+                    traces.last_mut().expect("just pushed")
+                }
+            };
+            let key = (name.as_ptr() as usize, name.len());
+            let name_id = match t.names.iter().find(|(p, l, _)| (*p, *l) == key) {
+                Some(&(_, _, name_id)) => name_id,
+                None => {
+                    let name_id = self.intern(name);
+                    t.names.push((key.0, key.1, name_id));
+                    name_id
+                }
+            };
+            t.ring.push(event(name_id));
         })
     }
 
@@ -519,17 +655,17 @@ impl Upc {
 
     /// Record an instantaneous event on the calling thread's ring.
     pub fn trace_instant(&self, name: &'static str, arg: u64) {
-        let id = self.intern(name);
-        self.ring()
-            .push([Self::encode_w0(id, TracePhase::Instant), now_ns(), 0, arg]);
+        self.push_event(name, |id| {
+            [Self::encode_w0(id, TracePhase::Instant), now_ns(), 0, arg]
+        });
     }
 
     /// Record a complete span from `start` to now.
     pub fn trace_span(&self, name: &'static str, start: Stamp, arg: u64) {
-        let id = self.intern(name);
         let dur = start.elapsed_ns();
-        self.ring()
-            .push([Self::encode_w0(id, TracePhase::Span), start.ns(), dur, arg]);
+        self.push_event(name, |id| {
+            [Self::encode_w0(id, TracePhase::Span), start.ns(), dur, arg]
+        });
     }
 
     /// Aggregate every registered counter and histogram, summing instances
@@ -604,5 +740,88 @@ impl Upc {
     /// `pamistat`-style aggregate report.
     pub fn report_json(&self) -> String {
         self.snapshot().report_json()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Deterministic values spread over many buckets.
+    fn value(thread: u64, i: u64) -> u64 {
+        let x = (thread * 1_000_003 + i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (x >> 40) % (1 << (1 + (x % 20)))
+    }
+
+    #[test]
+    fn histogram_with_no_records_allocates_no_stripes() {
+        let upc = Upc::new();
+        let h = upc.histogram("idle");
+        assert_eq!(h.cell.allocated_stripes(), 0);
+        assert_eq!(h.summary(), HistSummary::default());
+        assert_eq!(upc.snapshot().histogram("idle"), Some(HistSummary::default()));
+        assert_eq!(h.cell.allocated_stripes(), 0, "reading allocates nothing");
+    }
+
+    /// More threads than stripes record at once: the extra threads land in
+    /// the overflow cell, and the merged histogram equals a serial
+    /// recording of the same values.
+    #[test]
+    fn striped_histogram_matches_serial_recording() {
+        const THREADS: u64 = STRIPES as u64 + 4;
+        const PER_THREAD: u64 = 2_000;
+        let upc = Upc::new();
+        let striped = upc.histogram("striped");
+        let start = std::sync::Barrier::new(THREADS as usize);
+        let done = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (striped, start, done) = (&striped, &start, &done);
+                s.spawn(move || {
+                    // Every thread is live (and holds a distinct stripe slot)
+                    // from the first barrier until the second, so at least
+                    // four of them record into the overflow cell.
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        striped.record(value(t, i));
+                    }
+                    done.wait();
+                });
+            }
+        });
+        let serial = Upc::new().histogram("serial");
+        for t in 0..THREADS {
+            for i in 0..PER_THREAD {
+                serial.record(value(t, i));
+            }
+        }
+        let (a, b) = (striped.summary(), serial.summary());
+        assert_eq!(a.count, THREADS * PER_THREAD);
+        assert_eq!((a.count, a.sum, a.max), (b.count, b.sum, b.max));
+        assert_eq!((a.p50, a.p99), (b.p50, b.p99));
+        for i in 0..HIST_BUCKETS {
+            assert_eq!(striped.bucket_count(i), serial.bucket_count(i), "bucket {i}");
+        }
+        let overflow = striped.cell.stripe(STRIPES).count.load(Ordering::Relaxed);
+        assert!(overflow >= 4 * PER_THREAD, "overflow cell took {overflow} records");
+    }
+
+    #[test]
+    fn span_names_resolve_per_thread_and_registry() {
+        let a = Upc::new();
+        let b = Upc::new();
+        let st = Stamp::now();
+        // Interleaved names and registries: each thread-local cache entry
+        // must map to its own registry's interned id.
+        b.trace_span("second", st, 0);
+        a.trace_span("first", st, 1);
+        b.trace_span("first", st, 2);
+        a.trace_span("first", st, 3);
+        a.trace_instant("second", 4);
+        let names = |u: &Upc| -> Vec<(&str, u64)> {
+            u.trace_events().iter().map(|e| (e.name, e.arg)).collect()
+        };
+        assert_eq!(names(&a), vec![("first", 1), ("first", 3), ("second", 4)]);
+        assert_eq!(names(&b), vec![("second", 0), ("first", 2)]);
     }
 }

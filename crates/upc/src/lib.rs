@@ -7,14 +7,20 @@
 //!
 //! * [`Counter`] — cache-padded, per-thread striped cells. Threads that own an
 //!   exclusive stripe bump it with a non-RMW relaxed `load + store` (a single
-//!   writer per stripe makes this exact); late-arriving threads beyond the
-//!   stripe count share one overflow cell via `fetch_add`. Reads aggregate at
-//!   snapshot time, so the hot path never contends.
+//!   writer per stripe makes this exact); threads beyond the stripe count
+//!   share one overflow cell via `fetch_add`. A thread's stripe slot returns
+//!   to a free list when it exits, so only *live* threads compete for the
+//!   stripes. Reads aggregate at snapshot time, so the hot path never
+//!   contends.
 //! * [`Histogram`] — HDR-style power-of-two-bucket latency histogram (65
-//!   buckets covering the full `u64` range) with p50/p99/max summaries.
+//!   buckets covering the full `u64` range) with p50/p99/max summaries,
+//!   striped like [`Counter`]; each stripe is allocated on its first
+//!   record.
 //! * Trace ring — a per-thread SPSC ring buffer of events (fixed capacity,
 //!   drop-oldest) written with a seqlock per slot so a reader on any thread
 //!   can merge a consistent timeline and export it as chrome://tracing JSON.
+//!   Each thread caches the interned ids of the event names it uses, so a
+//!   span takes no lock once its name has been seen.
 //!
 //! Everything hangs off a [`Upc`] registry handle (cheaply cloneable). The
 //! whole crate is behind the `telemetry` cargo feature: with it disabled the
