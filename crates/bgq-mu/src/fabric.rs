@@ -11,15 +11,22 @@
 //! concurrency story is about.
 //!
 //! With a [`FaultPlan`] installed ([`MuFabricBuilder::fault_plan`]), inter-
-//! node traffic instead moves as link-level frames through per-(src, dst)
-//! reliable channels (see [`crate::link`]): the fault injector drops,
+//! node traffic rides per-(src, dst) reliable channels (see
+//! [`crate::link`]), as link-level frames whenever it cannot be delivered
+//! synchronously: the fault injector drops,
 //! corrupts, delays, or kills links; lost frames retransmit with
 //! exponential backoff under [`MuFabric::pump_links`]; killed links force
 //! torus reroutes; and exhausted retry budgets fail completion counters
 //! with a typed [`bgq_hw::DeliveryFault`] instead of hanging pollers.
-//! Every packet additionally carries a link sequence number and a CRC-32C
-//! stamp (on by default even fault-free — the measurable cost of integrity
-//! checking; [`MuFabricBuilder::crc`]`(false)` turns the stamp off).
+//!
+//! Every memory-FIFO message — a queued or immediate descriptor, or a
+//! short-tier envelope — takes one path: a *fate oracle* decides whether it
+//! can deliver synchronously right now (lossless fabric, fair weather on a
+//! clean plan, or a peek at a uniform lossy plan's dice) or must go to the
+//! reliable channel's frame queue, and everything it passes lands in one
+//! synchronous deposit. Every packet carries a link sequence number and a
+//! CRC-32C stamp — the measurable cost of integrity checking — except a
+//! short-tier envelope on the lossless fabric, where nothing can touch it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -28,19 +35,18 @@ use bgq_hw::{DeliveryFault, WakeupRegion, WakeupUnit};
 use bgq_torus::packet::MAX_PAYLOAD_BYTES;
 use bgq_torus::{healthy_route, Coords, Dir, LinkHealth, TorusShape};
 use bgq_upc::{Counter, Upc};
-use parking_lot::MutexGuard;
 
 use crate::comb::{CombCounters, CombState, RmwLocks};
 use crate::descriptor::{Descriptor, PayloadSource, RmwOp, XferKind};
 use crate::engine::{self, EngineMode};
-use crate::faults::{link_id, Fate, FaultInjector, FaultPlan, LinkProtocol};
+use crate::faults::{link_id, Fate, FaultInjector, FaultPlan};
 use crate::fifo::{
     FifoAllocator, FifoTable, InjFifo, InjFifoId, MsgIdLane, RecFifo, RecFifoId,
     INJ_FIFOS_PER_NODE, REC_FIFOS_PER_NODE,
 };
 use crate::link::{
-    fail_body, Channel, Frame, FrameBody, FramePayload, FrameState, RasCounters, RasEvent,
-    RasEventKind, RasRing, Reliability, RoutePlan, RxVerdict, TxState,
+    fail_body, Channel, Frame, FrameBody, FrameState, RasCounters, RasEvent, RasEventKind, RasRing,
+    Reliability, RoutePlan, RxVerdict, TxState,
 };
 
 /// How a selective-repeat arrival leaves the sender's scan: move to the
@@ -52,7 +58,50 @@ enum Arrival {
     Restart,
     FastRetransmit,
 }
-use crate::packet::{packet_crc, MuPacket, PacketPayload};
+
+/// What the fate oracle ([`MuFabric::oracle`]) decided for one memory-FIFO
+/// message.
+enum Verdict<'a> {
+    /// Deliver synchronously now, under link sequence numbers from `base`.
+    Pass {
+        base: u64,
+        /// No reliable channel carries the message: the lossless fabric,
+        /// or a self-send.
+        lossless: bool,
+        /// The dice were peeked, so the acks crossed the reverse route and
+        /// are charged to the transport seam.
+        peeked: bool,
+    },
+    /// Hand the message to the frame queue on `ch`, under sequence numbers
+    /// from `base` when the oracle already drew them.
+    Queue { rel: &'a Reliability, ch: &'a Channel, base: Option<u64> },
+}
+
+/// Byte window `(offset, length)` of packet `i` of a `len`-byte message.
+#[inline]
+fn packet_window(len: usize, i: u64) -> (usize, usize) {
+    let off = i as usize * MAX_PAYLOAD_BYTES;
+    (off, (len - off).min(MAX_PAYLOAD_BYTES))
+}
+
+/// The payload of one packet (or frame) covering `[off, off + chunk)` of a
+/// message: a slice of an immediate payload, a staged copy of a region
+/// window when `stage` (the modeled DMA read, counted by the caller), or a
+/// zero-copy window into the source region.
+fn packet_payload(payload: &PayloadSource, off: usize, chunk: usize, stage: bool) -> PacketPayload {
+    match payload {
+        PayloadSource::Immediate(data) => PacketPayload::Inline(data.slice(off..off + chunk)),
+        PayloadSource::Region { region, offset, .. } if stage => {
+            let mut staged = vec![0u8; chunk];
+            region.read(offset + off, &mut staged);
+            PacketPayload::Inline(bytes::Bytes::from(staged))
+        }
+        PayloadSource::Region { region, offset, .. } => {
+            PacketPayload::Region { region: region.clone(), offset: offset + off, len: chunk }
+        }
+    }
+}
+use crate::packet::{MuPacket, PacketPayload};
 use crate::transport::Transport;
 
 // Message ids are minted by per-lane [`MsgIdLane`]s: `node << 40 | lane <<
@@ -139,11 +188,12 @@ pub(crate) struct NodeMu {
     /// Wakes this node's engine threads (threaded mode).
     pub engine_wakeup: WakeupRegion,
     /// Fallback message-id lane ([`crate::fifo::NODE_LANE`]) for
-    /// descriptors executed without an injection FIFO (`execute_now`).
-    /// FIFO-routed messages mint from their own FIFO's lane instead.
+    /// messages sent without an injection FIFO ([`MuFabric::execute`],
+    /// FIFO-less short sends). FIFO-routed messages mint from their own
+    /// FIFO's lane instead.
     pub msg_lane: MsgIdLane,
-    /// Fallback link sequence counter for the same `execute_now` path —
-    /// FIFO-routed fault-free packets stamp from their FIFO's counter, and
+    /// Fallback link sequence counter for the same FIFO-less sends —
+    /// FIFO-routed lossless packets stamp from their FIFO's counter, and
     /// reliable channels stamp their own under a fault plan.
     pub link_seq: AtomicU64,
     /// `mu.*` telemetry probes for this node.
@@ -157,8 +207,6 @@ pub(crate) struct FabricInner {
     pub rec_fifo_capacity: usize,
     pub mode: EngineMode,
     pub shutdown: Arc<AtomicBool>,
-    /// Whether packets carry a computed CRC-32C stamp.
-    pub crc: bool,
     /// `ras.*` probes — registered even without a fault plan so the report
     /// schema is stable (they just stay zero).
     pub ras: Arc<RasCounters>,
@@ -185,7 +233,6 @@ pub struct MuFabricBuilder {
     rec_fifo_capacity: usize,
     mode: EngineMode,
     telemetry: Upc,
-    crc: bool,
     fault_plan: Option<FaultPlan>,
     ras_ring_capacity: usize,
     transport: Option<Arc<dyn Transport>>,
@@ -216,13 +263,6 @@ impl MuFabricBuilder {
     /// layer). Defaults to a private registry.
     pub fn telemetry(mut self, upc: Upc) -> Self {
         self.telemetry = upc;
-        self
-    }
-
-    /// Whether packets carry a computed CRC-32C stamp (default `true`; the
-    /// chaos bench turns it off to isolate the integrity-check cost).
-    pub fn crc(mut self, on: bool) -> Self {
-        self.crc = on;
         self
     }
 
@@ -299,7 +339,6 @@ impl MuFabricBuilder {
             rec_fifo_capacity: self.rec_fifo_capacity,
             mode: self.mode,
             shutdown: Arc::new(AtomicBool::new(false)),
-            crc: self.crc,
             ras,
             ring,
             reliability,
@@ -330,7 +369,6 @@ impl MuFabric {
             rec_fifo_capacity: 512,
             mode: EngineMode::Inline,
             telemetry: Upc::new(),
-            crc: true,
             fault_plan: None,
             ras_ring_capacity: 1024,
             transport: None,
@@ -481,88 +519,37 @@ impl MuFabric {
     }
 
     /// Execute a descriptor immediately in the calling thread — the
-    /// `PAMI_Send_immediate` path, which bypasses the injection queue when
-    /// FIFO space is available.
-    pub fn execute_now(&self, src_node: u32, desc: Descriptor) {
-        self.execute(src_node, desc);
+    /// `PAMI_Send_immediate` path, which bypasses the injection queue. This
+    /// is "the MU hardware": it performs the data movement the descriptor
+    /// asks for, minting message ids from the node's fallback lane.
+    pub fn execute(&self, src_node: u32, desc: Descriptor) {
+        let src = self.node(src_node);
+        src.counters.descriptors_executed.incr();
+        self.execute_from(src_node, desc, &src.msg_lane, &src.link_seq);
     }
 
-    /// Short-tier send on a caller-owned injection FIFO: the whole message
-    /// — metadata and payload — is one inline packet envelope, built and
-    /// delivered right here. No descriptor, no fragment loop, no region
-    /// registration, no staging: one message id, one sequence number, one
-    /// CRC stamp, one reception-FIFO deposit. The caller must have
-    /// established ordering first ([`InjFifo::is_quiescent`]) — bypassing
-    /// a non-empty queue would overtake earlier eager traffic.
+    /// Short-tier send: the whole message — metadata and payload — is one
+    /// inline packet envelope on the memory-FIFO path every descriptor
+    /// takes, minus the descriptor: no fragment loop, no region
+    /// registration, no staging.
     ///
-    /// `local_done` (if any) is credited synchronously with the payload
-    /// length ([`Descriptor::ZERO_LEN_CREDIT`] for empty payloads) on the
-    /// lossless fabric; under a fault plan the envelope rides the reliable
-    /// channel as a single frame instead, so the counter keeps its
-    /// ack-or-typed-fault semantics and chaos runs exercise the same tier.
+    /// `fifo` is the caller-owned injection FIFO whose message-id lane and
+    /// link-sequence counter the envelope uses; `None` takes the node's
+    /// fallback lane, as [`MuFabric::execute`] does. With a FIFO, the
+    /// caller must have established ordering first
+    /// ([`InjFifo::is_quiescent`]) — bypassing a non-empty queue would
+    /// overtake earlier eager traffic.
+    ///
+    /// `local_done` (if any) is credited with the payload length
+    /// ([`Descriptor::ZERO_LEN_CREDIT`] for empty payloads) when the
+    /// envelope is delivered: synchronously whenever the fate oracle passes
+    /// it; otherwise it rides the reliable channel as a single frame, so
+    /// the counter keeps its ack-or-typed-fault semantics.
     #[allow(clippy::too_many_arguments)]
     pub fn send_short(
         &self,
         src_node: u32,
-        fifo: &InjFifo,
-        dst_node: u32,
-        rec_fifo: RecFifoId,
-        src_context: u16,
-        dispatch: u16,
-        metadata: bytes::Bytes,
-        payload: bytes::Bytes,
-        local_done: Option<bgq_hw::Counter>,
-    ) {
-        self.send_short_from(
-            src_node,
-            &fifo.lane,
-            &fifo.link_seq,
-            dst_node,
-            rec_fifo,
-            src_context,
-            dispatch,
-            metadata,
-            payload,
-            local_done,
-        );
-    }
-
-    /// [`MuFabric::send_short`] without an injection FIFO — the
-    /// `PAMI_Send_immediate` analogue of [`MuFabric::execute_now`], minting
-    /// ids from the node's fallback lane. Same single-envelope semantics.
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_short_now(
-        &self,
-        src_node: u32,
-        dst_node: u32,
-        rec_fifo: RecFifoId,
-        src_context: u16,
-        dispatch: u16,
-        metadata: bytes::Bytes,
-        payload: bytes::Bytes,
-        local_done: Option<bgq_hw::Counter>,
-    ) {
-        let src = self.node(src_node);
-        self.send_short_from(
-            src_node,
-            &src.msg_lane,
-            &src.link_seq,
-            dst_node,
-            rec_fifo,
-            src_context,
-            dispatch,
-            metadata,
-            payload,
-            local_done,
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn send_short_from(
-        &self,
-        src_node: u32,
-        lane: &MsgIdLane,
-        seq_src: &AtomicU64,
+        fifo: Option<&InjFifo>,
         dst_node: u32,
         rec_fifo: RecFifoId,
         src_context: u16,
@@ -572,151 +559,27 @@ impl MuFabric {
         local_done: Option<bgq_hw::Counter>,
     ) {
         debug_assert!(payload.len() <= MAX_PAYLOAD_BYTES, "short tier is one packet");
-        let len = payload.len();
-        if let Some(rel) = &self.inner.reliability {
-            if dst_node != src_node {
-                let ch = rel.channel(src_node, dst_node);
-                if rel.clean && !rel.health.any_down() && ch.seems_alive() && !ch.has_backlog()
-                {
-                    // Fair-weather short fast path: same single-packet
-                    // synchronous deliver as the lossless tail below, but
-                    // the sequence number comes from the channel's atomic
-                    // (so a run that later installs faults continues the
-                    // same sequence space) and the packet carries the
-                    // reliable path's CRC stamp. This mirrors the generic
-                    // fair-weather bypass in `execute_reliable` minus the
-                    // descriptor round-trip the short tier exists to skip.
-                    let msg_id = lane.next();
-                    let pin = src_context as usize;
-                    let src = self.node(src_node);
-                    let dst = self.node(dst_node);
-                    if counter_sample_hit(msg_id) {
-                        src.counters
-                            .fifo_messages
-                            .add_pinned(pin, MU_PACKET_COUNTER_SAMPLE);
-                        src.counters
-                            .packets_injected
-                            .add_pinned(pin, MU_PACKET_COUNTER_SAMPLE);
-                        dst.counters
-                            .packets_received
-                            .add_pinned(pin, MU_PACKET_COUNTER_SAMPLE);
-                    }
-                    let seq = ch.next_seq.fetch_add(1, Ordering::Relaxed);
-                    let crc = if self.inner.crc {
-                        packet_crc(
-                            src_node,
-                            src_context,
-                            dispatch,
-                            msg_id,
-                            len as u32,
-                            0,
-                            seq,
-                            &metadata,
-                            &payload,
-                        )
-                    } else {
-                        0
-                    };
-                    let mut pkt = Some(MuPacket {
-                        src_node,
-                        src_context,
-                        dispatch,
-                        metadata,
-                        msg_id,
-                        msg_len: len as u32,
-                        offset: 0,
-                        link_seq: seq,
-                        crc,
-                        short: true,
-                        payload: PacketPayload::Inline(payload),
-                    });
-                    self.deposit(src_node, dst_node, rec_fifo, dst.rec.get(rec_fifo.0), 1, &mut |_| {
-                        pkt.take().expect("short tier is one packet")
-                    });
-                    if let Some(c) = local_done {
-                        c.delivered(if len == 0 {
-                            Descriptor::ZERO_LEN_CREDIT
-                        } else {
-                            len as u64
-                        });
-                    }
-                    return;
-                }
-                // Chaos path: one frame on the reliable channel; the `short`
-                // flag survives in the frame body so the receive side still
-                // sees a short envelope, and drops/kills keep their
-                // exactly-once / typed-fault semantics.
-                let kind =
-                    XferKind::MemoryFifo { rec_fifo, dispatch, metadata, short: true };
-                let desc = Descriptor {
-                    dst_node,
-                    dst_context: 0,
-                    src_context,
-                    routing: Descriptor::default_routing(&kind),
-                    payload: PayloadSource::Immediate(payload),
-                    kind,
-                    inj_counter: local_done,
-                };
-                self.execute_from(src_node, desc, lane, seq_src);
-                return;
+        let (lane, link_seq) = match fifo {
+            Some(f) => (&f.lane, &f.link_seq),
+            None => {
+                let n = self.node(src_node);
+                (&n.msg_lane, &n.link_seq)
             }
-        }
-        let dst = self.node(dst_node);
-        let msg_id = lane.next();
-        let pin = src_context as usize;
-        if counter_sample_hit(msg_id) {
-            // Source-node lookup only on the sampled window: the unsampled
-            // short send never touches the source slot table at all.
-            let src = self.node(src_node);
-            src.counters
-                .fifo_messages
-                .add_pinned(pin, MU_PACKET_COUNTER_SAMPLE);
-            src.counters
-                .packets_injected
-                .add_pinned(pin, MU_PACKET_COUNTER_SAMPLE);
-            dst.counters
-                .packets_received
-                .add_pinned(pin, MU_PACKET_COUNTER_SAMPLE);
-        }
-        let seq = seq_src.fetch_add(1, Ordering::Relaxed);
-        // No CRC stamp on the lossless short path: the fabric cannot touch
-        // the packet in flight (faulty fabrics take the reliable branch
-        // above, whose frames carry their own CRC), and nothing on the
-        // lossless receive side consumes the stamp — it would be pure dead
-        // computation on the tier whose whole point is the minimum
-        // per-message cost. A zero stamp reads as "CRC disabled" to
-        // `MuPacket::verify_crc`.
-        let pkt = MuPacket {
+        };
+        self.send_fifo(
             src_node,
+            dst_node,
             src_context,
+            rec_fifo,
             dispatch,
             metadata,
-            msg_id,
-            msg_len: len as u32,
-            offset: 0,
-            link_seq: seq,
-            crc: 0,
-            short: true,
-            payload: PacketPayload::Inline(payload),
-        };
-        // Single-packet deposit: on the default synchronous fabric this is
-        // a direct `deliver`, with no packet-maker indirection.
-        match &self.inner.transport {
-            None => dst.rec.get(rec_fifo.0).deliver(pkt),
-            Some(t) => {
-                let mut pkt = Some(pkt);
-                t.deliver(src_node, dst_node, rec_fifo, dst.rec.get(rec_fifo.0), 1, &mut |_| {
-                    pkt.take().expect("short tier is one packet")
-                });
-            }
-        }
-        if let Some(c) = local_done {
-            c.delivered(if len == 0 {
-                Descriptor::ZERO_LEN_CREDIT
-            } else {
-                len as u64
-            });
-        }
+            PayloadSource::Immediate(payload),
+            lane,
+            link_seq,
+            local_done,
+            true,
+            false,
+        );
     }
 
     /// Drain up to `budget` descriptors from one injection FIFO (inline
@@ -812,17 +675,6 @@ impl MuFabric {
         &self.node(node).counters
     }
 
-    /// Execute one descriptor on behalf of `src_node`. This is "the MU
-    /// hardware": it performs the data movement the descriptor asks for.
-    /// With a fault plan installed, inter-node descriptors are decomposed
-    /// into link-level frames on the reliable channel instead (self-sends
-    /// cross no torus link and keep the direct path).
-    pub(crate) fn execute(&self, src_node: u32, desc: Descriptor) {
-        self.node(src_node).counters.descriptors_executed.incr();
-        let src = self.node(src_node);
-        self.execute_from(src_node, desc, &src.msg_lane, &src.link_seq);
-    }
-
     /// Execute with an explicit message-id lane and link-sequence source —
     /// the FIFO pump paths pass their FIFO's own, keeping the hot path free
     /// of shared per-node sequence state. Does *not* bump
@@ -864,40 +716,149 @@ impl MuFabric {
                 }
             }
         }
-        if let Some(rel) = &self.inner.reliability {
-            if desc.dst_node != src_node {
-                self.execute_reliable(rel, src_node, desc, lane);
-                return;
-            }
+        if let XferKind::MemoryFifo { rec_fifo, dispatch, metadata, short } = desc.kind {
+            self.send_fifo(
+                src_node,
+                desc.dst_node,
+                desc.src_context,
+                rec_fifo,
+                dispatch,
+                metadata,
+                desc.payload,
+                lane,
+                link_seq,
+                desc.inj_counter,
+                short,
+                true,
+            );
+            return;
         }
-        self.execute_direct(src_node, desc, lane, link_seq);
+        match &self.inner.reliability {
+            // Self-sends cross no torus link and keep the direct path.
+            Some(rel) if desc.dst_node != src_node => self.execute_reliable(rel, src_node, desc),
+            _ => self.execute_direct(desc),
+        }
     }
 
-    /// The lossless path: immediate, synchronous delivery.
-    fn execute_direct(
+    /// The fate oracle: decides, before any packet is built, whether a
+    /// memory-FIFO message of `npackets` packets delivers synchronously now
+    /// or goes to the frame queue, and draws its link sequence numbers
+    /// where it can.
+    ///
+    /// - lossless fabric, or a self-send ⇒ pass, seqs from `seq_src`;
+    /// - clean plan, links up, channel alive, no backlog ⇒ pass, channel
+    ///   seqs;
+    /// - uniform lossy plan without kill schedules, same conditions ⇒
+    ///   pre-draw the seqs and peek the dice: pass, or queue under those
+    ///   seqs;
+    /// - anything else ⇒ queue.
+    ///
+    /// The peek is sound because the fault dice are pure functions of
+    /// (link, seq, attempt): it rolls exactly the forward and ack dice the
+    /// pump would roll for these frames' first attempt, and a message it
+    /// queues keeps its seqs, so the pump re-rolls the same dice and
+    /// records any loss as if the peek never happened. Each die is consumed
+    /// once and the plan's statistics are untouched. Kill schedules count
+    /// crossings, so they always queue; with every link up the route is the
+    /// deterministic one, precomputed per channel. The liveness and backlog
+    /// hints race a concurrent fault episode by at most one in-flight
+    /// message, which is indistinguishable from that message having crossed
+    /// just before.
+    #[inline]
+    fn oracle<'a>(
+        &'a self,
+        src_node: u32,
+        dst_node: u32,
+        npackets: u64,
+        seq_src: &AtomicU64,
+    ) -> Verdict<'a> {
+        let rel = match &self.inner.reliability {
+            Some(rel) if dst_node != src_node => rel,
+            _ => {
+                let base = seq_src.fetch_add(npackets, Ordering::Relaxed);
+                return Verdict::Pass { base, lossless: true, peeked: false };
+            }
+        };
+        let ch = rel.channel(src_node, dst_node);
+        if !Self::fair_weather(rel, ch) {
+            return Verdict::Queue { rel, ch, base: None };
+        }
+        if rel.clean {
+            let base = ch.next_seq.fetch_add(npackets, Ordering::Relaxed);
+            return Verdict::Pass { base, lossless: false, peeked: false };
+        }
+        let Some((pass_thr, ack_thr)) =
+            rel.injector.uniform_thresholds().filter(|_| !rel.injector.has_kills())
+        else {
+            return Verdict::Queue { rel, ch, base: None };
+        };
+        let base = ch.next_seq.fetch_add(npackets, Ordering::Relaxed);
+        let plan = self.fair_plan(rel, ch);
+        // One finalizer per die: each forward hop must come up `Pass`, each
+        // reverse (ack) hop `Pass` or `Delay` — the threshold forms of
+        // exactly the `decide` calls the pump would make for these frames.
+        let all_pass = (0..npackets).all(|i| {
+            let ss = FaultInjector::seq_salt(base + i, 0);
+            plan.fwd_salts.iter().all(|&ls| FaultInjector::draw(ls, ss) >= pass_thr)
+                && plan.rev_salts.iter().all(|&ls| FaultInjector::draw(ls, ss) >= ack_thr)
+        });
+        if all_pass {
+            Verdict::Pass { base, lossless: false, peeked: true }
+        } else {
+            Verdict::Queue { rel, ch, base: Some(base) }
+        }
+    }
+
+    /// Whether the (src, dst) channel can take a synchronous delivery:
+    /// every link up, the channel alive, and nothing queued on it that a
+    /// synchronous send would overtake.
+    fn fair_weather(rel: &Reliability, ch: &Channel) -> bool {
+        !rel.health.any_down() && ch.seems_alive() && !ch.has_backlog()
+    }
+
+    /// The one memory-FIFO path, for descriptors and short-tier envelopes
+    /// alike: the fate oracle decides, then either the synchronous deposit
+    /// or the frame builder runs. Synchronous delivery doubles as the ack,
+    /// so the injection counter fires here; a queued message's counter
+    /// fires on link-level ack (or fails with the channel's fault).
+    ///
+    /// `stamp_lossless` says whether the packets carry a CRC on the
+    /// lossless verdict too. Descriptor-borne packets always do — the eager
+    /// tier's integrity cost, which `short_gate` and the clean chaos gate
+    /// are calibrated against — while a short-tier envelope skips it there,
+    /// the one route where nothing can touch the packet in flight. Every
+    /// packet on a reliable channel is stamped.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn send_fifo(
         &self,
         src_node: u32,
-        desc: Descriptor,
+        dst_node: u32,
+        src_context: u16,
+        rec_fifo: RecFifoId,
+        dispatch: u16,
+        metadata: bytes::Bytes,
+        payload: PayloadSource,
         lane: &MsgIdLane,
         link_seq: &AtomicU64,
+        inj_counter: Option<bgq_hw::Counter>,
+        short: bool,
+        stamp_lossless: bool,
     ) {
-        let credit = desc.completion_credit();
-        let Descriptor {
-            dst_node,
-            dst_context,
-            src_context,
-            routing,
-            payload,
-            kind,
-            inj_counter,
-        } = desc;
-        // Functional delivery is identical for both routing modes (the
-        // fabric is lossless and in-process); the mode matters to the
-        // timing models and to the ordering contract asserted in tests.
-        let _ = routing;
-        match kind {
-            XferKind::MemoryFifo { rec_fifo, dispatch, metadata, short } => {
-                self.deliver_fifo_sync(
+        let msg_len = payload.len();
+        let npackets = bgq_torus::packet::packets_for(msg_len) as u64;
+        let credit = if msg_len == 0 { Descriptor::ZERO_LEN_CREDIT } else { msg_len as u64 };
+        // The MU's contract is that a completion counter hits zero only
+        // once the source buffer has been read, so with a counter the DMA
+        // read is modeled at packet creation. Without one no correct
+        // program can observe when the buffer is read, and packets carry
+        // zero-copy windows into the source region until the receiver's
+        // deposit.
+        let stage = inj_counter.is_some() && matches!(payload, PayloadSource::Region { .. });
+        let msg_id = lane.next();
+        match self.oracle(src_node, dst_node, npackets, link_seq) {
+            Verdict::Pass { base, lossless, peeked } => {
+                self.deliver_sync(
                     src_node,
                     dst_node,
                     src_context,
@@ -905,14 +866,131 @@ impl MuFabric {
                     dispatch,
                     metadata,
                     payload,
-                    lane,
-                    link_seq,
-                    None,
-                    inj_counter.is_some(),
+                    msg_id,
+                    base,
+                    stage,
                     short,
+                    stamp_lossless || !lossless,
                 );
-                let _ = dst_context;
+                if let (true, Some(t)) = (peeked, &self.inner.transport) {
+                    for _ in 0..npackets {
+                        t.deliver_control(dst_node, src_node, Self::ACK_WIRE_BYTES);
+                    }
+                }
+                if let Some(c) = inj_counter {
+                    c.delivered(credit);
+                }
             }
+            Verdict::Queue { rel, ch, base } => {
+                let src = &self.node(src_node).counters;
+                src.fifo_messages.incr();
+                src.packets_injected.add(npackets);
+                if stage {
+                    src.payload_copies.add(npackets);
+                }
+                let frames = (0..npackets).map(|i| {
+                    let (off, chunk) = packet_window(msg_len, i);
+                    let body = FrameBody::Packet {
+                        rec_fifo,
+                        src_context,
+                        dispatch,
+                        metadata: metadata.clone(),
+                        msg_id,
+                        msg_len: msg_len as u32,
+                        offset: off as u32,
+                        short,
+                        payload: packet_payload(&payload, off, chunk, stage),
+                    };
+                    (if msg_len == 0 { credit } else { chunk as u64 }, body)
+                });
+                self.enqueue_frames(rel, ch, src_node, base, inj_counter, npackets, frames);
+            }
+        }
+    }
+
+    /// The one synchronous memory-FIFO deposit: fragment the message into
+    /// ≤512-byte packets under link sequence numbers from `base_seq`, stamp
+    /// each with a CRC when `crc`, and deposit them in the destination's
+    /// reception FIFO. Per-message probes are sampled — one message per
+    /// [`MU_PACKET_COUNTER_SAMPLE`] window accounts for the whole window —
+    /// and pinned to the sending context's stripe, so contexts flooding
+    /// from different threads never bounce a counter cache line.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn deliver_sync(
+        &self,
+        src_node: u32,
+        dst_node: u32,
+        src_context: u16,
+        rec_fifo: RecFifoId,
+        dispatch: u16,
+        metadata: bytes::Bytes,
+        payload: PayloadSource,
+        msg_id: u64,
+        base_seq: u64,
+        stage: bool,
+        short: bool,
+        crc: bool,
+    ) {
+        let msg_len = payload.len();
+        let npackets = bgq_torus::packet::packets_for(msg_len) as u64;
+        let pin = src_context as usize;
+        let dst = self.node(dst_node);
+        if counter_sample_hit(msg_id) {
+            let src = &self.node(src_node).counters;
+            src.fifo_messages.add_pinned(pin, MU_PACKET_COUNTER_SAMPLE);
+            src.packets_injected.add_pinned(pin, npackets * MU_PACKET_COUNTER_SAMPLE);
+            dst.counters.packets_received.add_pinned(pin, npackets * MU_PACKET_COUNTER_SAMPLE);
+        }
+        if stage {
+            self.node(src_node).counters.payload_copies.add_pinned(pin, npackets);
+        }
+        let packet = |i: u64, metadata: bytes::Bytes, payload: PacketPayload| {
+            let mut pkt = MuPacket {
+                src_node,
+                src_context,
+                dispatch,
+                metadata,
+                msg_id,
+                msg_len: msg_len as u32,
+                offset: (i as usize * MAX_PAYLOAD_BYTES) as u32,
+                link_seq: base_seq + i,
+                crc: 0,
+                short,
+                payload,
+            };
+            if crc {
+                pkt.crc = pkt.compute_crc();
+            }
+            pkt
+        };
+        let fifo = dst.rec.get(rec_fifo.0);
+        match (&self.inner.transport, payload) {
+            // A one-packet immediate on the synchronous fabric (the short
+            // tier's case): metadata and payload move straight into the
+            // packet, with no packet-maker indirection.
+            (None, PayloadSource::Immediate(data)) if npackets == 1 => {
+                fifo.deliver(packet(0, metadata, PacketPayload::Inline(data)));
+            }
+            (_, payload) => {
+                self.deposit(src_node, dst_node, rec_fifo, fifo, npackets, &mut |i| {
+                    let (off, chunk) = packet_window(msg_len, i);
+                    packet(i, metadata.clone(), packet_payload(&payload, off, chunk, stage))
+                });
+            }
+        }
+    }
+
+    /// Puts, remote gets and rmws on the lossless fabric (and self-sends
+    /// under a fault plan): immediate, synchronous delivery.
+    fn execute_direct(&self, desc: Descriptor) {
+        let credit = desc.completion_credit();
+        let Descriptor { dst_node, payload, kind, inj_counter, .. } = desc;
+        // Functional delivery is identical for both routing modes (the
+        // fabric is lossless and in-process); the mode matters to the
+        // timing models and to the ordering contract asserted in tests.
+        match kind {
+            XferKind::MemoryFifo { .. } => unreachable!("memory-FIFO messages take the oracle"),
             XferKind::DirectPut { dst_region, dst_offset, rec_counter } => {
                 match &payload {
                     PayloadSource::Immediate(bytes) => {
@@ -953,172 +1031,6 @@ impl MuFabric {
         }
         if let Some(c) = inj_counter {
             c.delivered(credit);
-        }
-    }
-
-    /// Fragment a MemoryFifo message into packets and deliver them
-    /// synchronously. Shared by the lossless path and the reliable
-    /// fair-weather fast path — the two differ only in where the message-id
-    /// lane and link-sequence counter live (the injecting FIFO's own on the
-    /// lossless fabric, per-channel under a fault plan) and in who fires
-    /// the injection counter, so both pay an identical per-packet cost:
-    /// CRC stamp + sequence number + fifo deposit. Telemetry updates are
-    /// pinned to the sending context's stripe, so contexts flooding from
-    /// different threads never bounce a counter cache line.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver_fifo_sync(
-        &self,
-        src_node: u32,
-        dst_node: u32,
-        src_context: u16,
-        rec_fifo: RecFifoId,
-        dispatch: u16,
-        metadata: bytes::Bytes,
-        payload: PayloadSource,
-        lane: &MsgIdLane,
-        seq_src: &AtomicU64,
-        preseq: Option<u64>,
-        stage: bool,
-        short: bool,
-    ) {
-        let msg_len = payload.len();
-        let src = self.node(src_node);
-        let msg_id = lane.next();
-        let pin = src_context as usize;
-        let dst = self.node(dst_node);
-        let fifo = dst.rec.get(rec_fifo.0);
-        let npackets = bgq_torus::packet::packets_for(msg_len) as u64;
-        // Per-message probes are sampled: one message per window accounts
-        // for the whole window (scaled add), so the synchronous hot path
-        // touches the telemetry stripes once every
-        // MU_PACKET_COUNTER_SAMPLE messages instead of per message.
-        if counter_sample_hit(msg_id) {
-            src.counters
-                .fifo_messages
-                .add_pinned(pin, MU_PACKET_COUNTER_SAMPLE);
-            src.counters
-                .packets_injected
-                .add_pinned(pin, npackets * MU_PACKET_COUNTER_SAMPLE);
-            dst.counters
-                .packets_received
-                .add_pinned(pin, npackets * MU_PACKET_COUNTER_SAMPLE);
-        }
-        // The fate-peeked cut-through draws its sequence numbers before
-        // rolling the dice; everyone else draws here.
-        let base_seq =
-            preseq.unwrap_or_else(|| seq_src.fetch_add(npackets, Ordering::Relaxed));
-        let crc_on = self.inner.crc;
-        let header = |i: u64| {
-            let off = i as usize * MAX_PAYLOAD_BYTES;
-            let chunk = (msg_len - off).min(MAX_PAYLOAD_BYTES);
-            (off, chunk)
-        };
-        let stamp = |off: usize, link_seq: u64, staged: &[u8]| {
-            if crc_on {
-                packet_crc(
-                    src_node,
-                    src_context,
-                    dispatch,
-                    msg_id,
-                    msg_len as u32,
-                    off as u32,
-                    link_seq,
-                    &metadata,
-                    staged,
-                )
-            } else {
-                0
-            }
-        };
-        match payload {
-            PayloadSource::Immediate(data) => {
-                // Send-immediate already staged the payload in the
-                // descriptor; packets carry refcounted slices of it
-                // and the injection counter fires now — the source
-                // buffer is no longer referenced.
-                self.deposit(src_node, dst_node, rec_fifo, fifo, npackets, &mut |i| {
-                    let (off, chunk) = header(i);
-                    let seq = base_seq + i;
-                    MuPacket {
-                        src_node,
-                        src_context,
-                        dispatch,
-                        metadata: bytes::Bytes::clone(&metadata),
-                        msg_id,
-                        msg_len: msg_len as u32,
-                        offset: off as u32,
-                        link_seq: seq,
-                        crc: stamp(off, seq, &data[off..off + chunk]),
-                        short,
-                        payload: PacketPayload::Inline(data.slice(off..off + chunk)),
-                    }
-                });
-            }
-            PayloadSource::Region { region, offset: base, len } => {
-                // No whole-message staging buffer in either case:
-                // the message fragments directly from the source
-                // region into per-packet payloads.
-                debug_assert_eq!(len, msg_len);
-                if stage {
-                    // The sender asked for a completion signal, and
-                    // the MU's contract is that the counter hits
-                    // zero only once the source buffer has been
-                    // read — so model the DMA read now, one packet
-                    // slice at a time (counted as per-packet copies
-                    // on the *source* node). The counter fires at
-                    // the tail of this function and the buffer is
-                    // genuinely reusable.
-                    src.counters.payload_copies.add_pinned(pin, npackets);
-                    self.deposit(src_node, dst_node, rec_fifo, fifo, npackets, &mut |i| {
-                        let (off, chunk) = header(i);
-                        let mut staged = vec![0u8; chunk];
-                        region.read(base + off, &mut staged);
-                        let seq = base_seq + i;
-                        MuPacket {
-                            src_node,
-                            src_context,
-                            dispatch,
-                            metadata: bytes::Bytes::clone(&metadata),
-                            msg_id,
-                            msg_len: msg_len as u32,
-                            offset: off as u32,
-                            link_seq: seq,
-                            crc: stamp(off, seq, &staged),
-                            short,
-                            payload: PacketPayload::Inline(bytes::Bytes::from(staged)),
-                        }
-                    });
-                } else {
-                    // No completion counter exists, so no correct
-                    // program can observe *when* the MU reads the
-                    // buffer (there is no synchronization edge to
-                    // race with): defer the read all the way to the
-                    // receiver's deposit. Packets carry zero-copy
-                    // windows into the source region; the one
-                    // payload copy happens on the destination node.
-                    self.deposit(src_node, dst_node, rec_fifo, fifo, npackets, &mut |i| {
-                        let (off, chunk) = header(i);
-                        let seq = base_seq + i;
-                        MuPacket {
-                            src_node,
-                            src_context,
-                            dispatch,
-                            metadata: bytes::Bytes::clone(&metadata),
-                            msg_id,
-                            msg_len: msg_len as u32,
-                            offset: off as u32,
-                            link_seq: seq,
-                            crc: stamp(off, seq, &[]),
-                            short,
-                            payload: PacketPayload::Region {
-                                region: region.clone(),
-                                offset: base + off,
-                                len: chunk,
-                            },
-                        }
-                    });
-                }
-            }
         }
     }
 
@@ -1281,307 +1193,95 @@ impl MuFabric {
         done + comb_events
     }
 
-    /// Decompose a descriptor into link-level frames, queue them on the
-    /// (src, dst) channel, and attempt immediate transmission (fault-free
-    /// frames deliver synchronously, matching the lossless path's
-    /// observable behavior; lost frames wait for [`MuFabric::pump_links`]).
-    fn execute_reliable(
-        &self,
-        rel: &Reliability,
-        src_node: u32,
-        desc: Descriptor,
-        lane: &MsgIdLane,
-    ) {
+    /// Decompose a put, remote get or rmw into link-level frames on the
+    /// (src, dst) channel. Memory-FIFO messages never come here: the fate
+    /// oracle routes them.
+    fn execute_reliable(&self, rel: &Reliability, src_node: u32, desc: Descriptor) {
         let total_credit = desc.completion_credit();
-        let Descriptor {
-            dst_node,
-            dst_context: _,
-            src_context,
-            routing: _,
-            payload,
-            kind,
-            inj_counter,
-        } = desc;
+        let Descriptor { dst_node, payload, kind, inj_counter, .. } = desc;
         let ch = rel.channel(src_node, dst_node);
-        // Fair-weather fast path: with a clean plan and every link up a
-        // frame cannot be touched in flight, so it is delivered (and
-        // thereby acked) synchronously without taking the channel lock or
-        // entering the queue — the reliable path's cost at 0% faults is
-        // CRC + sequence numbers + ack bookkeeping, not locks and queue
-        // churn. Sequence numbers come from the channel's atomic, so the
-        // lock exists only for the retransmit queue.
-        let fast =
-            rel.clean && !rel.health.any_down() && ch.seems_alive() && !ch.has_backlog();
-        let kind = match kind {
-            XferKind::MemoryFifo { rec_fifo, dispatch, metadata, short } if fast => {
-                // Specialized fair-weather fifo path: fragment straight
-                // into `MuPacket`s (no link-frame intermediate) exactly as
-                // the lossless fabric does, drawing sequence numbers from
-                // the channel's atomic so a later fault or kill continues
-                // the same sequence space. Synchronous delivery doubles as
-                // the ack, so the injection counter fires here.
-                self.deliver_fifo_sync(
-                    src_node,
-                    dst_node,
-                    src_context,
-                    rec_fifo,
-                    dispatch,
-                    metadata,
-                    payload,
-                    lane,
-                    &ch.next_seq,
-                    None,
-                    inj_counter.is_some(),
-                    short,
-                );
-                if let Some(c) = inj_counter {
-                    c.delivered(total_credit);
-                }
-                return;
-            }
-            // Fate-peeked cut-through, the selective-repeat analog of the
-            // fair-weather bypass: the fault dice are pure functions of
-            // (link, seq, attempt), so under a hostile plan the sender
-            // draws the message's sequence numbers up front and rolls
-            // every packet's forward fate and reverse ack fate before
-            // committing to the queue. If they all pass — the
-            // overwhelmingly common case at percent-level loss — the
-            // message delivers synchronously exactly as the clean path
-            // does, lock-free; any unlucky die sends the message to the
-            // retransmit queue *under the already-drawn seqs*, so the
-            // pump re-rolls these same dice and records the loss exactly
-            // as if the peek never happened. Either way each seq's dice
-            // are consumed exactly once and the fault plan's statistics
-            // are untouched. Guards: selective repeat only (go-back-N
-            // keeps its committed behavior bit for bit), no kill
-            // schedules (crossing counts must stay exact), every link up
-            // (then the route is the deterministic one, precomputed per
-            // channel), channel alive with an empty queue. The liveness
-            // and backlog hints race a concurrent fault episode by at
-            // most one in-flight message — the same window the clean
-            // bypass already accepts.
-            XferKind::MemoryFifo { rec_fifo, dispatch, metadata, short }
-                if !rel.clean
-                    && rel.injector.protocol() == LinkProtocol::SelectiveRepeat
-                    && !rel.injector.has_kills()
-                    && rel.injector.uniform_thresholds().is_some()
-                    && !rel.health.any_down()
-                    && ch.seems_alive()
-                    && !ch.has_backlog() =>
-            {
-                let npackets = bgq_torus::packet::packets_for(payload.len()) as u64;
-                let base = ch.next_seq.fetch_add(npackets, Ordering::Relaxed);
-                let (pass_thr, ack_thr) = rel
-                    .injector
-                    .uniform_thresholds()
-                    .expect("guard requires a uniform-rate plan");
-                let plan = self.fair_plan(rel, ch);
-                // One finalizer per die: each forward hop must come up
-                // `Pass`, each reverse (ack) hop `Pass` or `Delay` — the
-                // threshold forms of exactly the `decide` calls the pump
-                // would make for these frames.
-                let all_pass = (0..npackets).all(|i| {
-                    let ss = FaultInjector::seq_salt(base + i, 0);
-                    plan.fwd_salts
-                        .iter()
-                        .all(|&ls| FaultInjector::draw(ls, ss) >= pass_thr)
-                        && plan
-                            .rev_salts
-                            .iter()
-                            .all(|&ls| FaultInjector::draw(ls, ss) >= ack_thr)
-                });
-                if all_pass {
-                    self.deliver_fifo_sync(
-                        src_node,
-                        dst_node,
-                        src_context,
-                        rec_fifo,
-                        dispatch,
-                        metadata,
-                        payload,
-                        lane,
-                        &ch.next_seq,
-                        Some(base),
-                        inj_counter.is_some(),
-                        short,
-                    );
-                    if let Some(t) = &self.inner.transport {
-                        for _ in 0..npackets {
-                            t.deliver_control(dst_node, src_node, Self::ACK_WIRE_BYTES);
-                        }
-                    }
-                    if let Some(c) = inj_counter {
-                        c.delivered(total_credit);
-                    }
-                    return;
-                }
-                self.enqueue_fifo_frames(
-                    rel,
-                    ch,
-                    base,
-                    src_node,
-                    dst_node,
-                    src_context,
-                    rec_fifo,
-                    dispatch,
-                    metadata,
-                    payload,
-                    lane,
-                    inj_counter,
-                    total_credit,
-                    short,
-                );
-                return;
-            }
-            // Put/Get on a clean fabric still use the generic lock-free
-            // frame emit below (not message-rate critical).
-            other => other,
-        };
-        let mut guard = if fast { None } else { Some(ch.tx.lock()) };
-        let dead = guard.as_ref().and_then(|g| g.dead);
-        let rto_init = rel.injector.retry().rto_ticks;
-        let mut queued = 0usize;
-        let mut failed = 0u64;
-        {
-        let guard_ref = &mut guard;
-        let mut emit = |credit: u64, body: FrameBody| {
-            if let Some(fault) = dead {
-                // The channel already failed: surface the same fault to
-                // this transfer's counters instead of queueing into a
-                // black hole.
-                failed += fail_body(&body, fault);
-                return;
-            }
-            let seq = ch.next_seq.fetch_add(1, Ordering::Relaxed);
-            let frame = Frame {
-                seq,
-                attempt: 0,
-                state: FrameState::Queued,
-                retries: 0,
-                rto: rto_init,
-                credit,
-                inj_counter: inj_counter.clone(),
-                body,
-            };
-            match guard_ref.as_mut() {
-                None => self.deliver_frame(rel, ch, frame),
-                Some(tx) => {
-                    tx.queue.push_back(frame);
-                    queued += 1;
-                }
-            }
-        };
         match kind {
-            XferKind::MemoryFifo { rec_fifo, dispatch, metadata, short } => {
-                let msg_len = payload.len();
-                let src = self.node(src_node);
-                let msg_id = lane.next();
-                src.counters.fifo_messages.incr();
-                let npackets = bgq_torus::packet::packets_for(msg_len) as u64;
-                src.counters.packets_injected.add(npackets);
-                // With a completion counter the DMA read is modeled at
-                // frame creation (as on the direct path) — but the counter
-                // itself fires on link-level ack, so a dead channel can
-                // fail it instead of completing a lost message.
-                let stage = inj_counter.is_some()
-                    && matches!(payload, PayloadSource::Region { .. });
-                if stage {
-                    src.counters.payload_copies.add(npackets);
-                }
-                for i in 0..npackets {
-                    let off = i as usize * MAX_PAYLOAD_BYTES;
-                    let chunk = (msg_len - off).min(MAX_PAYLOAD_BYTES);
-                    let fp = match &payload {
-                        PayloadSource::Immediate(data) => {
-                            FramePayload::Inline(data.slice(off..off + chunk))
-                        }
-                        PayloadSource::Region { region, offset: base, len } => {
-                            debug_assert_eq!(*len, msg_len);
-                            if stage {
-                                let mut staged = vec![0u8; chunk];
-                                region.read(base + off, &mut staged);
-                                FramePayload::Inline(bytes::Bytes::from(staged))
-                            } else {
-                                FramePayload::Region {
-                                    region: region.clone(),
-                                    offset: base + off,
-                                    len: chunk,
-                                }
-                            }
-                        }
-                    };
-                    let credit = if msg_len == 0 { total_credit } else { chunk as u64 };
-                    emit(
-                        credit,
-                        FrameBody::Packet {
-                            rec_fifo,
-                            src_context,
-                            dispatch,
-                            metadata: bytes::Bytes::clone(&metadata),
-                            msg_id,
-                            msg_len: msg_len as u32,
-                            offset: off as u32,
-                            short,
-                            payload: fp,
-                        },
-                    );
-                }
-            }
             XferKind::DirectPut { dst_region, dst_offset, rec_counter } => {
                 let len = payload.len();
-                if len == 0 {
-                    emit(
-                        total_credit,
-                        FrameBody::Put {
-                            dst_region,
-                            dst_offset,
-                            payload: FramePayload::Inline(bytes::Bytes::new()),
-                            rec_counter,
-                        },
-                    );
-                } else {
-                    let nchunks = bgq_torus::packet::packets_for(len) as u64;
-                    for i in 0..nchunks {
-                        let off = i as usize * MAX_PAYLOAD_BYTES;
-                        let chunk = (len - off).min(MAX_PAYLOAD_BYTES);
-                        let fp = match &payload {
-                            PayloadSource::Immediate(data) => {
-                                FramePayload::Inline(data.slice(off..off + chunk))
-                            }
-                            PayloadSource::Region { region, offset: base, .. } => {
-                                FramePayload::Region {
-                                    region: region.clone(),
-                                    offset: base + off,
-                                    len: chunk,
-                                }
-                            }
-                        };
-                        emit(
-                            chunk as u64,
-                            FrameBody::Put {
-                                dst_region: dst_region.clone(),
-                                dst_offset: dst_offset + off,
-                                payload: fp,
-                                rec_counter: rec_counter.clone(),
-                            },
-                        );
-                    }
-                }
+                let n = bgq_torus::packet::packets_for(len) as u64;
+                let frames = (0..n).map(|i| {
+                    let (off, chunk) = packet_window(len, i);
+                    let body = FrameBody::Put {
+                        dst_region: dst_region.clone(),
+                        dst_offset: dst_offset + off,
+                        payload: packet_payload(&payload, off, chunk, false),
+                        rec_counter: rec_counter.clone(),
+                    };
+                    (if len == 0 { total_credit } else { chunk as u64 }, body)
+                });
+                self.send_frames(rel, ch, src_node, inj_counter, n, frames);
             }
             XferKind::RemoteGet { payload: get_desc } => {
-                emit(total_credit, FrameBody::Get { desc: get_desc });
+                let frame = (total_credit, FrameBody::Get { desc: get_desc });
+                self.send_frames(rel, ch, src_node, inj_counter, 1, std::iter::once(frame));
             }
             XferKind::Rmw { win_key, dst_region, dst_offset, op, operand, compare, reply } => {
                 // One frame per rmw: the channel's sequence dedup gives the
                 // retransmitted atomic exactly-once application for free.
-                emit(
-                    total_credit,
-                    FrameBody::Rmw { win_key, dst_region, dst_offset, op, operand, compare, reply },
-                );
+                let body =
+                    FrameBody::Rmw { win_key, dst_region, dst_offset, op, operand, compare, reply };
+                let frame = (total_credit, body);
+                self.send_frames(rel, ch, src_node, inj_counter, 1, std::iter::once(frame));
+            }
+            XferKind::MemoryFifo { .. } => unreachable!("memory-FIFO messages take the oracle"),
+        }
+    }
+
+    /// Send `n` put/get/rmw frames. With a clean plan in fair weather a
+    /// frame cannot be touched in flight, so it is delivered (and thereby
+    /// acked) synchronously without the channel lock; otherwise the frames
+    /// go to the queue.
+    fn send_frames(
+        &self,
+        rel: &Reliability,
+        ch: &Channel,
+        src_node: u32,
+        inj_counter: Option<bgq_hw::Counter>,
+        n: u64,
+        frames: impl Iterator<Item = (u64, FrameBody)>,
+    ) {
+        if !(rel.clean && Self::fair_weather(rel, ch)) {
+            self.enqueue_frames(rel, ch, src_node, None, inj_counter, n, frames);
+            return;
+        }
+        for (credit, body) in frames {
+            let seq = ch.next_seq.fetch_add(1, Ordering::Relaxed);
+            self.deliver_body(ch, seq, credit, &body);
+            if let Some(c) = &inj_counter {
+                c.delivered(credit);
             }
         }
-        }
-        if let Some(fault) = dead {
+    }
+
+    /// The frame builder's queue: append `n` frames to `ch` under
+    /// consecutive sequence numbers from `base` — drawn here, under the
+    /// lock, unless the oracle pre-drew them while peeking — then pump the
+    /// channel inline, so fault-free frames still deliver before this
+    /// returns and lost ones wait for [`MuFabric::pump_links`]. On a dead
+    /// channel every frame fails with the channel's fault instead.
+    #[allow(clippy::too_many_arguments)]
+    fn enqueue_frames(
+        &self,
+        rel: &Reliability,
+        ch: &Channel,
+        src_node: u32,
+        base: Option<u64>,
+        inj_counter: Option<bgq_hw::Counter>,
+        n: u64,
+        frames: impl Iterator<Item = (u64, FrameBody)>,
+    ) {
+        let mut tx = ch.tx.lock();
+        if let Some(fault) = tx.dead {
+            // The channel already failed (or the oracle's liveness hint
+            // raced a kill): surface the fault to this transfer's counters
+            // instead of queueing into a black hole.
+            drop(tx);
+            let mut failed: u64 = frames.map(|(_, body)| fail_body(&body, fault)).sum();
             if let Some(c) = &inj_counter {
                 failed += c.fail(fault) as u64;
             }
@@ -1590,48 +1290,36 @@ impl MuFabric {
                 tick: rel.tick(src_node),
                 kind: RasEventKind::DeliveryFailure,
                 src_node,
-                dst_node,
+                dst_node: ch.dst,
                 detail: fault as u64,
             });
             return;
         }
-        if queued > 0 {
-            rel.add_pending(src_node, queued);
-            ch.publish_backlog(true);
-            let now = rel.tick(src_node);
-            let guard = guard.as_mut().expect("slow path holds the channel lock");
-            self.pump_channel_locked(rel, ch, guard, now, usize::MAX);
+        let base = base.unwrap_or_else(|| ch.next_seq.fetch_add(n, Ordering::Relaxed));
+        let rto = rel.injector.retry().rto_ticks;
+        for (seq, (credit, body)) in (base..).zip(frames) {
+            // A concurrent sender's lock-free draw may have reached the
+            // queue first: insert in sequence order, which the pump relies
+            // on.
+            let pos = tx.queue.partition_point(|f| f.seq < seq);
+            tx.queue.insert(
+                pos,
+                Frame {
+                    seq,
+                    attempt: 0,
+                    state: FrameState::Queued,
+                    retries: 0,
+                    rto,
+                    credit,
+                    inj_counter: inj_counter.clone(),
+                    body,
+                },
+            );
         }
-    }
-
-    /// The channel state machine. `now` is the node's link-pump tick;
-    /// `budget` caps deliveries. Dispatches on the plan's
-    /// [`LinkProtocol`]: selective repeat works a window of frames with
-    /// lossy acks, go-back-N reproduces the original front-frame protocol
-    /// for A/B runs. Holding the channel lock across delivery is safe —
-    /// delivery never takes another channel's lock.
-    fn pump_channel_locked(
-        &self,
-        rel: &Reliability,
-        ch: &Channel,
-        guard: &mut MutexGuard<'_, TxState>,
-        now: u64,
-        budget: usize,
-    ) -> usize {
-        let tx: &mut TxState = guard;
-        if tx.dead.is_some() {
-            return 0;
-        }
-        let done = match rel.injector.protocol() {
-            LinkProtocol::SelectiveRepeat => {
-                self.pump_selective_repeat(rel, ch, tx, now, budget)
-            }
-            LinkProtocol::GoBackN => self.pump_go_back_n(rel, ch, tx, now, budget),
-        };
-        if tx.dead.is_none() {
-            ch.publish_backlog(!tx.queue.is_empty());
-        }
-        done
+        rel.add_pending(src_node, n as usize);
+        ch.publish_backlog(true);
+        let now = rel.tick(src_node);
+        self.pump_channel_locked(rel, ch, &mut tx, now, usize::MAX);
     }
 
     /// The channel's deterministic route in hot-path form, built once and
@@ -1677,124 +1365,6 @@ impl MuFabric {
             rat = shape.neighbor(rat, back);
         }
         RoutePlan { hops, rev_lids, fwd_salts, rev_salts }
-    }
-
-    /// Queue a MemoryFifo message whose sequence numbers were already
-    /// drawn by the fate-peeked cut-through: one frame per packet,
-    /// carrying the pre-drawn seqs so the pump's dice rolls match the
-    /// peek, then pump the channel inline exactly as the generic slow
-    /// path does after an emit.
-    #[allow(clippy::too_many_arguments)]
-    fn enqueue_fifo_frames(
-        &self,
-        rel: &Reliability,
-        ch: &Channel,
-        base_seq: u64,
-        src_node: u32,
-        dst_node: u32,
-        src_context: u16,
-        rec_fifo: RecFifoId,
-        dispatch: u16,
-        metadata: bytes::Bytes,
-        payload: PayloadSource,
-        lane: &MsgIdLane,
-        inj_counter: Option<bgq_hw::Counter>,
-        total_credit: u64,
-        short: bool,
-    ) {
-        let msg_len = payload.len();
-        let src = self.node(src_node);
-        let msg_id = lane.next();
-        src.counters.fifo_messages.incr();
-        let npackets = bgq_torus::packet::packets_for(msg_len) as u64;
-        src.counters.packets_injected.add(npackets);
-        let stage = inj_counter.is_some() && matches!(payload, PayloadSource::Region { .. });
-        if stage {
-            src.counters.payload_copies.add(npackets);
-        }
-        let rto_init = rel.injector.retry().rto_ticks;
-        let mut guard = ch.tx.lock();
-        let dead = guard.dead;
-        let mut failed = 0u64;
-        let mut queued = 0usize;
-        for i in 0..npackets {
-            let off = i as usize * MAX_PAYLOAD_BYTES;
-            let chunk = (msg_len - off).min(MAX_PAYLOAD_BYTES);
-            let fp = match &payload {
-                PayloadSource::Immediate(data) => {
-                    FramePayload::Inline(data.slice(off..off + chunk))
-                }
-                PayloadSource::Region { region, offset: base, len } => {
-                    debug_assert_eq!(*len, msg_len);
-                    if stage {
-                        let mut staged = vec![0u8; chunk];
-                        region.read(base + off, &mut staged);
-                        FramePayload::Inline(bytes::Bytes::from(staged))
-                    } else {
-                        FramePayload::Region {
-                            region: region.clone(),
-                            offset: base + off,
-                            len: chunk,
-                        }
-                    }
-                }
-            };
-            let credit = if msg_len == 0 { total_credit } else { chunk as u64 };
-            let body = FrameBody::Packet {
-                rec_fifo,
-                src_context,
-                dispatch,
-                metadata: bytes::Bytes::clone(&metadata),
-                msg_id,
-                msg_len: msg_len as u32,
-                offset: off as u32,
-                short,
-                payload: fp,
-            };
-            if let Some(fault) = dead {
-                // The liveness hint raced a concurrent kill: surface the
-                // fault to this transfer's counters, as the emit path does.
-                failed += fail_body(&body, fault);
-                continue;
-            }
-            let seq = base_seq + i;
-            // A concurrent sender's draw may have reached the queue
-            // first: insert in sequence order, which the pump relies on.
-            let pos = guard.queue.partition_point(|f| f.seq < seq);
-            guard.queue.insert(
-                pos,
-                Frame {
-                    seq,
-                    attempt: 0,
-                    state: FrameState::Queued,
-                    retries: 0,
-                    rto: rto_init,
-                    credit,
-                    inj_counter: inj_counter.clone(),
-                    body,
-                },
-            );
-            queued += 1;
-        }
-        if let Some(fault) = dead {
-            drop(guard);
-            if let Some(c) = &inj_counter {
-                failed += c.fail(fault) as u64;
-            }
-            rel.ras.delivery_failures.add(failed);
-            rel.ring.record(RasEvent {
-                tick: rel.tick(src_node),
-                kind: RasEventKind::DeliveryFailure,
-                src_node,
-                dst_node,
-                detail: fault as u64,
-            });
-            return;
-        }
-        rel.add_pending(src_node, queued);
-        ch.publish_backlog(true);
-        let now = rel.tick(src_node);
-        self.pump_channel_locked(rel, ch, &mut guard, now, usize::MAX);
     }
 
     /// Make sure `tx` holds a route computed at the current health epoch.
@@ -2078,13 +1648,17 @@ impl MuFabric {
         }
     }
 
-    /// Selective repeat: work up to a window of frames per visit. Each
+    /// The channel state machine, run with the channel lock held (`tx`):
+    /// selective repeat over up to a window of frames per visit. `now` is
+    /// the node's link-pump tick; `budget` caps deliveries. Each
     /// transmission rolls per-link fates on the forward route; each
     /// arrival gets a verdict from the receiver's reorder state and an ack
     /// that rolls the reverse route's dice (see `crate::link` docs for the
     /// modeling choices). Blocked frames are skipped, so a lost frame at
-    /// the front never head-of-line-blocks the rest of the window.
-    fn pump_selective_repeat(
+    /// the front never head-of-line-blocks the rest of the window. Holding
+    /// the lock across delivery is safe — delivery never takes another
+    /// channel's lock. Returns early only when the channel dies.
+    fn pump_channel_locked(
         &self,
         rel: &Reliability,
         ch: &Channel,
@@ -2092,6 +1666,9 @@ impl MuFabric {
         now: u64,
         budget: usize,
     ) -> usize {
+        if tx.dead.is_some() {
+            return 0;
+        }
         let retry = rel.injector.retry();
         let mut done = 0usize;
         // `sent` counts transmissions this visit; the retry window bounds
@@ -2245,130 +1822,7 @@ impl MuFabric {
                 }
             }
         }
-        done
-    }
-
-    /// Go-back-N over the front frame: the original protocol, acks modeled
-    /// lossless, kept selectable through [`LinkProtocol::GoBackN`] for A/B
-    /// runs against selective repeat.
-    fn pump_go_back_n(
-        &self,
-        rel: &Reliability,
-        ch: &Channel,
-        tx: &mut TxState,
-        now: u64,
-        budget: usize,
-    ) -> usize {
-        let retry = rel.injector.retry();
-        let mut done = 0;
-        let mut sent = 0usize;
-        while done < budget && sent < retry.window {
-            let Some(front) = tx.queue.front() else { break };
-            let (state, seq, attempt) = (front.state, front.seq, front.attempt);
-            match state {
-                FrameState::Delayed { until } => {
-                    if now < until {
-                        break;
-                    }
-                    let frame = tx.queue.pop_front().expect("front exists");
-                    self.deliver_frame(rel, ch, frame);
-                    rel.sub_pending(ch.src, 1);
-                    done += 1;
-                }
-                FrameState::Lost { since } => {
-                    let (rto, retries) = {
-                        let f = tx.queue.front().expect("front exists");
-                        (f.rto, f.retries)
-                    };
-                    if now.saturating_sub(since) < rto {
-                        break;
-                    }
-                    if retries + 1 > retry.retry_budget {
-                        self.kill_channel(rel, ch, tx, DeliveryFault::Timeout, now);
-                        return done;
-                    }
-                    rel.ras.retransmits.incr();
-                    rel.ring.record(RasEvent {
-                        tick: now,
-                        kind: RasEventKind::Retransmit,
-                        src_node: ch.src,
-                        dst_node: ch.dst,
-                        detail: seq,
-                    });
-                    let front = tx.queue.front_mut().expect("front exists");
-                    front.retries += 1;
-                    front.rto = rto.saturating_mul(2).min(retry.rto_max_ticks);
-                    front.attempt += 1;
-                    front.state = FrameState::Queued;
-                    sent += 1;
-                }
-                FrameState::Queued => {
-                    // Fast path: a clean plan with all links up cannot
-                    // touch this frame.
-                    if rel.clean && !rel.health.any_down() {
-                        let frame = tx.queue.pop_front().expect("front exists");
-                        self.deliver_frame(rel, ch, frame);
-                        rel.sub_pending(ch.src, 1);
-                        done += 1;
-                        sent += 1;
-                        continue;
-                    }
-                    let Some(route) = self.ensure_route(rel, ch, tx, now) else {
-                        return done;
-                    };
-                    // Transmit: walk the route's links; kill schedules and
-                    // per-link fates apply, first bad link wins.
-                    let (fate, link_died) =
-                        self.cross_links(rel, ch, &route, seq, attempt, now);
-                    match fate {
-                        Fate::Pass => {
-                            let frame = tx.queue.pop_front().expect("front exists");
-                            self.deliver_frame(rel, ch, frame);
-                            rel.sub_pending(ch.src, 1);
-                            done += 1;
-                            sent += 1;
-                        }
-                        Fate::Drop => {
-                            self.node(ch.src).counters.packets_dropped.incr();
-                            rel.ring.record(RasEvent {
-                                tick: now,
-                                kind: RasEventKind::PacketDropped,
-                                src_node: ch.src,
-                                dst_node: ch.dst,
-                                detail: seq,
-                            });
-                            if link_died {
-                                tx.route = None;
-                            }
-                            tx.queue.front_mut().expect("front exists").state =
-                                FrameState::Lost { since: now };
-                            break;
-                        }
-                        Fate::Corrupt => {
-                            rel.ras.crc_errors.incr();
-                            rel.ring.record(RasEvent {
-                                tick: now,
-                                kind: RasEventKind::CrcError,
-                                src_node: ch.src,
-                                dst_node: ch.dst,
-                                detail: seq,
-                            });
-                            tx.queue.front_mut().expect("front exists").state =
-                                FrameState::Lost { since: now };
-                            break;
-                        }
-                        Fate::Delay(n) => {
-                            tx.queue.front_mut().expect("front exists").state =
-                                FrameState::Delayed { until: now + n as u64 };
-                            break;
-                        }
-                    }
-                }
-                FrameState::AckWait { .. } | FrameState::SackHeld => {
-                    unreachable!("go-back-N never parks frames in selective-repeat states")
-                }
-            }
-        }
+        ch.publish_backlog(!tx.queue.is_empty());
         done
     }
 
@@ -2408,18 +1862,6 @@ impl MuFabric {
         });
     }
 
-    /// Deliver one frame to its destination (the frame "crossed the wire"
-    /// intact) and acknowledge it: credit the source completion counter.
-    /// Go-back-N and fair-weather path: delivery doubles as the ack.
-    fn deliver_frame(&self, rel: &Reliability, ch: &Channel, frame: Frame) {
-        let _ = rel;
-        let Frame { seq, credit, inj_counter, body, .. } = frame;
-        self.deliver_body(ch, seq, credit, &body);
-        if let Some(c) = inj_counter {
-            c.delivered(credit);
-        }
-    }
-
     /// Deposit one frame body at the destination — the data crossed the
     /// wire — without crediting the source completion counter (under
     /// selective repeat that happens when the cumulative ack arrives; see
@@ -2438,33 +1880,8 @@ impl MuFabric {
                 short,
                 payload,
             } => {
-                let staged: &[u8] = match payload {
-                    FramePayload::Inline(b) => b,
-                    FramePayload::Region { .. } => &[],
-                };
-                let crc = if self.inner.crc {
-                    packet_crc(
-                        ch.src,
-                        *src_context,
-                        *dispatch,
-                        *msg_id,
-                        *msg_len,
-                        *offset,
-                        seq,
-                        metadata,
-                        staged,
-                    )
-                } else {
-                    0
-                };
-                let pkt_payload = match payload {
-                    FramePayload::Inline(b) => PacketPayload::Inline(b.clone()),
-                    FramePayload::Region { region, offset, len } => {
-                        PacketPayload::Region { region: region.clone(), offset: *offset, len: *len }
-                    }
-                };
                 let dst = self.node(ch.dst);
-                let mut pkt = Some(MuPacket {
+                let mut pkt = MuPacket {
                     src_node: ch.src,
                     src_context: *src_context,
                     dispatch: *dispatch,
@@ -2473,10 +1890,12 @@ impl MuFabric {
                     msg_len: *msg_len,
                     offset: *offset,
                     link_seq: seq,
-                    crc,
+                    crc: 0,
                     short: *short,
-                    payload: pkt_payload,
-                });
+                    payload: payload.clone(),
+                };
+                pkt.crc = pkt.compute_crc();
+                let mut pkt = Some(pkt);
                 self.deposit(ch.src, ch.dst, *rec_fifo, dst.rec.get(rec_fifo.0), 1, &mut |_| {
                     pkt.take().expect("one frame, one packet")
                 });
@@ -2484,8 +1903,8 @@ impl MuFabric {
             }
             FrameBody::Put { dst_region, dst_offset, payload, rec_counter } => {
                 match payload {
-                    FramePayload::Inline(b) => dst_region.write(*dst_offset, b),
-                    FramePayload::Region { region, offset, len } => {
+                    PacketPayload::Inline(b) => dst_region.write(*dst_offset, b),
+                    PacketPayload::Region { region, offset, len } => {
                         dst_region.copy_from(*dst_offset, region, *offset, *len);
                     }
                 }
@@ -2571,7 +1990,7 @@ mod tests {
         let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
         let data: Vec<u8> = (0..1300).map(|i| (i % 251) as u8).collect();
         let region = MemRegion::from_vec(data.clone());
-        fabric.execute_now(
+        fabric.execute(
             0,
             memfifo_desc(1, rec, PayloadSource::Region { region, offset: 0, len: 1300 }),
         );
@@ -2623,7 +2042,7 @@ mod tests {
             PayloadSource::Region { region: region.clone(), offset: 0, len: 1000 },
         );
         desc.inj_counter = Some(local_done.clone());
-        fabric.execute_now(0, desc);
+        fabric.execute(0, desc);
         assert!(
             local_done.is_complete(),
             "sender completion must not wait for receiver deposits"
@@ -2657,7 +2076,7 @@ mod tests {
         let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
         let data: Vec<u8> = (0..1000).map(|i| (i % 201) as u8).collect();
         let region = MemRegion::from_vec(data.clone());
-        fabric.execute_now(
+        fabric.execute(
             0,
             memfifo_desc(1, rec, PayloadSource::Region { region, offset: 0, len: 1000 }),
         );
@@ -2685,14 +2104,14 @@ mod tests {
             .msg_seq
             .store(crate::fifo::LANE_SEQ_MASK, Ordering::Relaxed);
         for _ in 0..2 {
-            fabric.execute_now(0, memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::new())));
+            fabric.execute(0, memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::new())));
         }
         let a = fabric.poll_rec(1, rec).unwrap();
         let b = fabric.poll_rec(1, rec).unwrap();
         assert_eq!(a.msg_id >> 40, 0, "node 0 in high bits");
         assert_eq!(b.msg_id >> 40, 0, "sequence wrap must not leak into node bits");
         assert_ne!(a.msg_id, b.msg_id);
-        // Both ids sit on the NODE fallback lane (execute_now bypasses
+        // Both ids sit on the NODE fallback lane (execute bypasses
         // injection FIFOs).
         let lane_of = |id: u64| (id >> crate::fifo::LANE_SHIFT) & 0x3ff;
         assert_eq!(lane_of(a.msg_id), crate::fifo::NODE_LANE as u64);
@@ -2720,7 +2139,7 @@ mod tests {
     fn zero_byte_message_delivers_one_packet() {
         let fabric = small_fabric();
         let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
-        fabric.execute_now(0, memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::new())));
+        fabric.execute(0, memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::new())));
         let p = fabric.poll_rec(1, rec).expect("one packet");
         assert_eq!(p.msg_len, 0);
         assert!(p.is_first() && p.is_last());
@@ -2736,7 +2155,7 @@ mod tests {
         let rec = Counter::new();
         inj.add_expected(50);
         rec.add_expected(50);
-        fabric.execute_now(
+        fabric.execute(
             0,
             Descriptor {
                 dst_node: 1,
@@ -2781,7 +2200,7 @@ mod tests {
             },
             inj_counter: None,
         };
-        fabric.execute_now(
+        fabric.execute(
             0,
             Descriptor {
                 dst_node: 1,
@@ -2848,7 +2267,7 @@ mod tests {
     fn self_send_loops_back() {
         let fabric = small_fabric();
         let rec = fabric.alloc_rec_fifos(0, 1).unwrap()[0];
-        fabric.execute_now(
+        fabric.execute(
             0,
             memfifo_desc(0, rec, PayloadSource::Immediate(Bytes::from_static(b"self"))),
         );
@@ -2859,7 +2278,7 @@ mod tests {
 
     // ---- reliability-layer tests ---------------------------------------
 
-    use crate::faults::RetryConfig;
+    use crate::faults::{FaultRates, RetryConfig};
     use bgq_hw::DeliveryFault;
 
     fn reliable_fabric(plan: FaultPlan) -> MuFabric {
@@ -2882,7 +2301,7 @@ mod tests {
         let fabric = reliable_fabric(FaultPlan::new().seed(7));
         assert!(fabric.reliable());
         let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
-        fabric.execute_now(
+        fabric.execute(
             0,
             memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from_static(b"hello"))),
         );
@@ -2896,6 +2315,107 @@ mod tests {
         let ras = fabric.ras_counters();
         assert_eq!(ras.retransmits.value(), 0);
         assert_eq!(ras.crc_errors.value(), 0);
+        // A short-tier envelope on a reliable channel is stamped too.
+        let short = |f: &MuFabric, rec: RecFifoId| {
+            f.send_short(0, None, 1, rec, 0, 5, Bytes::new(), Bytes::from_static(b"shrt"), None)
+        };
+        short(&fabric, rec);
+        let p = fabric.poll_rec(1, rec).expect("synchronous delivery");
+        assert!(p.short);
+        assert_ne!(p.crc, 0, "reliable short packets are stamped");
+        assert!(p.verify_crc());
+        // On the lossless fabric an eager packet still pays the stamp; a
+        // short-tier envelope, which nothing can touch in flight, does not.
+        let fabric = small_fabric();
+        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+        fabric.execute(
+            0,
+            memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from_static(b"eager"))),
+        );
+        let p = fabric.poll_rec(1, rec).expect("synchronous delivery");
+        assert!(!p.short);
+        assert_ne!(p.crc, 0, "lossless eager packets are stamped");
+        assert!(p.verify_crc());
+        short(&fabric, rec);
+        let p = fabric.poll_rec(1, rec).expect("synchronous delivery");
+        assert!(p.short);
+        assert_eq!(p.crc, 0, "lossless short packets are not stamped");
+    }
+
+    #[test]
+    fn fate_peek_consumes_the_dice_exactly_as_the_queue() {
+        // The oracle's peek must consume every (link, seq, attempt) die
+        // exactly as the frame queue would. Plan A is uniform, so the
+        // oracle peeks. Plan B adds a same-rate override on a link off the
+        // 0 <-> 1 route, which disables the peek without changing any die
+        // the route rolls, so every message queues. The same seeded stream
+        // of 1- and 3-packet messages must leave the same fault history
+        // and the same deliveries.
+        type Run = (Vec<u64>, Vec<(u64, RasEventKind, u32, u32, u64)>, Vec<(u64, u64, bool)>);
+        let off_route = bgq_torus::Dir { dim: bgq_torus::Dim::B, plus: true };
+        let run = |queue_all: bool| -> Run {
+            let mut plan = FaultPlan::new().seed(4242).drop_rate(0.01).corrupt_rate(0.01).retry(
+                RetryConfig { window: 8, rto_ticks: 1, rto_max_ticks: 8, retry_budget: 64 },
+            );
+            if queue_all {
+                let rates = FaultRates { drop: 0.01, corrupt: 0.01, ..FaultRates::default() };
+                plan = plan.link_rates(2, off_route, rates);
+            }
+            let fabric = reliable_fabric(plan);
+            let rel = fabric.inner.reliability.as_ref().unwrap();
+            assert_eq!(rel.injector.uniform_thresholds().is_none(), queue_all);
+            let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+            let mut delivered = Vec::new();
+            let mut drain = |f: &MuFabric| {
+                while let Some(p) = f.poll_rec(1, rec) {
+                    delivered.push((p.msg_id, p.link_seq, p.short));
+                }
+            };
+            for i in 0..600usize {
+                if i % 4 == 1 {
+                    let payload = Bytes::from(vec![i as u8; 64]);
+                    fabric.send_short(0, None, 1, rec, 0, 5, Bytes::new(), payload, None);
+                } else {
+                    let len = if i % 3 == 0 { 1200 } else { 64 };
+                    let payload = PayloadSource::Immediate(Bytes::from(vec![i as u8; len]));
+                    fabric.execute(0, memfifo_desc(1, rec, payload));
+                }
+                fabric.pump_links(0, usize::MAX);
+                drain(&fabric);
+            }
+            for _ in 0..10_000 {
+                if fabric.links_idle(0) {
+                    break;
+                }
+                fabric.pump_links(0, usize::MAX);
+            }
+            assert!(fabric.links_idle(0), "every frame acked");
+            drain(&fabric);
+            let ras = fabric.ras_counters();
+            let counts = vec![
+                ras.crc_errors.value(),
+                ras.retransmits.value(),
+                ras.sack_retransmits.value(),
+                ras.reorder_depth.value(),
+                ras.delivery_failures.value(),
+                fabric.counters(0).packets_dropped.value(),
+            ];
+            let (events, _) = fabric.ras_events();
+            let sig =
+                events.iter().map(|e| (e.tick, e.kind, e.src_node, e.dst_node, e.detail)).collect();
+            (counts, sig, delivered)
+        };
+        let peeked = run(false);
+        let queued = run(true);
+        assert_eq!(peeked.0, queued.0, "ras.* counts");
+        assert_eq!(peeked.1, queued.1, "RAS event signatures");
+        assert_eq!(peeked.2, queued.2, "delivered (msg_id, link_seq, short) sequence");
+        // 150 three-packet messages and 450 one-packet ones.
+        assert_eq!(peeked.2.len(), 150 * 3 + 450, "every packet exactly once");
+        assert!(
+            peeked.1.iter().any(|e| e.1 == RasEventKind::Retransmit),
+            "the plan actually bit"
+        );
     }
 
     #[test]
@@ -2920,7 +2440,7 @@ mod tests {
             },
         );
         desc.inj_counter = Some(done.clone());
-        fabric.execute_now(0, desc);
+        fabric.execute(0, desc);
         pump_until_complete(&fabric, &done);
         assert!(done.is_ok(), "all frames eventually acked");
         // Exactly-once: every packet arrives once, reassembly is complete.
@@ -2961,7 +2481,7 @@ mod tests {
         let mut desc =
             memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from(vec![5u8; 2048])));
         desc.inj_counter = Some(done.clone());
-        fabric.execute_now(0, desc);
+        fabric.execute(0, desc);
         pump_until_complete(&fabric, &done);
         assert!(done.is_ok());
         let mut count = 0;
@@ -2985,7 +2505,7 @@ mod tests {
         done.add_expected(16);
         let mut desc = memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from(vec![1u8; 16])));
         desc.inj_counter = Some(done.clone());
-        fabric.execute_now(0, desc);
+        fabric.execute(0, desc);
         assert!(!done.is_complete(), "frame held back by the delay fault");
         assert!(!fabric.links_idle(0));
         pump_until_complete(&fabric, &done);
@@ -3009,7 +2529,7 @@ mod tests {
         done.add_expected(100);
         let mut desc = memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from(vec![9u8; 100])));
         desc.inj_counter = Some(done.clone());
-        fabric.execute_now(0, desc);
+        fabric.execute(0, desc);
         pump_until_complete(&fabric, &done);
         assert_eq!(done.fault(), Some(DeliveryFault::Timeout));
         assert!(done.is_complete(), "failed counters still read complete");
@@ -3025,7 +2545,7 @@ mod tests {
         late.add_expected(4);
         let mut desc2 = memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from(vec![0u8; 4])));
         desc2.inj_counter = Some(late.clone());
-        fabric.execute_now(0, desc2);
+        fabric.execute(0, desc2);
         assert_eq!(late.fault(), Some(DeliveryFault::Timeout));
     }
 
@@ -3046,7 +2566,7 @@ mod tests {
         done.add_expected(64);
         let mut desc = memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from(vec![3u8; 64])));
         desc.inj_counter = Some(done.clone());
-        fabric.execute_now(0, desc);
+        fabric.execute(0, desc);
         pump_until_complete(&fabric, &done);
         assert!(done.is_ok(), "delivered via the detour");
         let p = fabric.poll_rec(1, rec).expect("rerouted packet");
@@ -3076,7 +2596,7 @@ mod tests {
         let mut desc =
             memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from(vec![8u8; 1024])));
         desc.inj_counter = Some(done.clone());
-        fabric.execute_now(0, desc);
+        fabric.execute(0, desc);
         pump_until_complete(&fabric, &done);
         assert!(done.is_ok());
         let mut count = 0;
@@ -3109,7 +2629,7 @@ mod tests {
         done.add_expected(8);
         let mut desc = memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from(vec![0u8; 8])));
         desc.inj_counter = Some(done.clone());
-        fabric.execute_now(0, desc);
+        fabric.execute(0, desc);
         pump_until_complete(&fabric, &done);
         assert_eq!(done.fault(), Some(DeliveryFault::Unreachable));
     }
@@ -3126,7 +2646,7 @@ mod tests {
         let dst = MemRegion::zeroed(200);
         let recd = Counter::new();
         recd.add_expected(200);
-        fabric.execute_now(
+        fabric.execute(
             0,
             Descriptor {
                 dst_node: 1,
@@ -3150,7 +2670,7 @@ mod tests {
         let local = MemRegion::zeroed(64);
         let got = Counter::new();
         got.add_expected(64);
-        fabric.execute_now(
+        fabric.execute(
             0,
             Descriptor {
                 dst_node: 1,
@@ -3207,7 +2727,7 @@ mod tests {
                     PayloadSource::Immediate(Bytes::from(vec![i; 1024])),
                 );
                 desc.inj_counter = Some(done.clone());
-                fabric.execute_now(0, desc);
+                fabric.execute(0, desc);
                 pump_until_complete(&fabric, &done);
                 assert!(done.is_ok());
             }
@@ -3239,7 +2759,7 @@ mod tests {
     fn self_sends_bypass_the_reliability_layer() {
         let fabric = reliable_fabric(FaultPlan::new().seed(6).drop_rate(1.0));
         let rec = fabric.alloc_rec_fifos(0, 1).unwrap()[0];
-        fabric.execute_now(
+        fabric.execute(
             0,
             memfifo_desc(0, rec, PayloadSource::Immediate(Bytes::from_static(b"loop"))),
         );
@@ -3254,8 +2774,9 @@ mod tests {
         let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
         let done = Counter::new();
         done.add_expected(5);
-        fabric.send_short_now(
+        fabric.send_short(
             0,
+            None,
             1,
             rec,
             3,
@@ -3282,8 +2803,9 @@ mod tests {
         let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
         let done = Counter::new();
         done.add_expected(4);
-        fabric.send_short_now(
+        fabric.send_short(
             0,
+            None,
             1,
             rec,
             0,
@@ -3315,7 +2837,7 @@ mod tests {
         let mut desc =
             memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from_static(b"die")));
         desc.inj_counter = Some(doomed.clone());
-        fabric.execute_now(0, desc);
+        fabric.execute(0, desc);
         assert_eq!(
             doomed.fault(),
             Some(DeliveryFault::Unreachable),
@@ -3332,7 +2854,7 @@ mod tests {
         let mut desc =
             memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from_static(b"yay")));
         desc.inj_counter = Some(ok.clone());
-        fabric.execute_now(0, desc);
+        fabric.execute(0, desc);
         assert!(ok.is_ok(), "revived channel delivers again");
         let p = fabric.poll_rec(1, rec).unwrap();
         assert_eq!(p.payload.view(), b"yay");

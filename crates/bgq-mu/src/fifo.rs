@@ -43,7 +43,8 @@ pub const LANE_SEQ_MASK: u64 = (1u64 << LANE_SHIFT) - 1;
 pub const SYS_LANE: u16 = 1022;
 
 /// Reserved lane id for the per-node fallback (descriptors executed without
-/// going through an injection FIFO — the `execute_now` path).
+/// going through an injection FIFO — `MuFabric::execute` and short sends
+/// without a FIFO).
 pub const NODE_LANE: u16 = 1023;
 
 /// A message-id mint: composes `node | lane` high bits (fixed at creation)

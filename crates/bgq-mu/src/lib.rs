@@ -53,7 +53,7 @@ pub use comb::CombCounters;
 pub use descriptor::{Descriptor, PayloadSource, RmwOp, RmwReply, XferKind};
 pub use engine::EngineMode;
 pub use fabric::{MuCounters, MuFabric, MuFabricBuilder, MU_PACKET_COUNTER_SAMPLE};
-pub use faults::{Fate, FaultInjector, FaultPlan, FaultPlanError, FaultRates, LinkFault, LinkProtocol, RetryConfig};
+pub use faults::{Fate, FaultInjector, FaultPlan, FaultPlanError, FaultRates, LinkFault, RetryConfig};
 pub use link::{RasCounters, RasEvent, RasEventKind, RasObserver, RasRing};
 pub use packet::packet_crc;
 pub use transport::Transport;

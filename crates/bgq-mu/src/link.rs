@@ -12,10 +12,9 @@
 //! completion counters with a typed [`DeliveryFault`] instead of hanging
 //! whoever is polling them.
 //!
-//! The retransmit protocol is **selective repeat** (go-back-N remains
-//! selectable through [`crate::faults::LinkProtocol`] for A/B runs): the
-//! sender works a window of frames rather than only the oldest one, the
-//! receiver accepts out-of-order arrivals into a bounded reorder buffer
+//! The retransmit protocol is **selective repeat**: the sender works a
+//! window of frames rather than only the oldest one, the receiver accepts
+//! out-of-order arrivals into a bounded reorder buffer
 //! ([`RxState`]) and answers each with a selective ack, and a cumulative
 //! ack covering every in-order-delivered frame retires whole prefixes of
 //! the queue at once. A selective ack for a later frame doubles as SACK
@@ -32,8 +31,7 @@
 //!   [`FrameState::AckWait`] until an RTO-driven probe re-elicits a
 //!   cumulative ack (the receiver discards the duplicate data). Ack
 //!   crossings do not advance kill schedules, so kill-at-Nth-frame plans
-//!   count data frames only. Go-back-N mode keeps the old lossless-ack
-//!   model, bit for bit.
+//!   count data frames only.
 //! * **The reorder buffer is sender-resident.** The simulation's "wire" is
 //!   a function call, so an out-of-order frame's body stays in the sender's
 //!   queue ([`FrameState::SackHeld`]) and is deposited at the destination
@@ -63,6 +61,7 @@ use parking_lot::Mutex;
 use crate::descriptor::{Descriptor, RmwOp, RmwReply};
 use crate::faults::FaultInjector;
 use crate::fifo::RecFifoId;
+use crate::packet::PacketPayload;
 
 /// `ras.*` telemetry probes — the reliability layer's RAS event counters,
 /// registered on the fabric's shared [`Upc`] so `pamistat` exports them
@@ -238,25 +237,6 @@ impl RasRing {
     }
 }
 
-/// A frame's payload: clone-cheap ingredients for rebuilding the delivery
-/// on a retransmit attempt.
-#[derive(Clone)]
-pub(crate) enum FramePayload {
-    /// Bytes staged in the frame.
-    Inline(Bytes),
-    /// Zero-copy window into the source region.
-    Region { region: MemRegion, offset: usize, len: usize },
-}
-
-impl FramePayload {
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            FramePayload::Inline(b) => b.len(),
-            FramePayload::Region { len, .. } => *len,
-        }
-    }
-}
-
 /// What delivering a frame does at the destination.
 pub(crate) enum FrameBody {
     /// One memory-FIFO packet.
@@ -271,13 +251,13 @@ pub(crate) enum FrameBody {
         /// Short-tier flag, carried so the delivered [`crate::packet::MuPacket`]
         /// keeps its tier under a fault plan.
         short: bool,
-        payload: FramePayload,
+        payload: PacketPayload,
     },
     /// One ≤512-byte window of a direct put.
     Put {
         dst_region: MemRegion,
         dst_offset: usize,
-        payload: FramePayload,
+        payload: PacketPayload,
         rec_counter: Option<HwCounter>,
     },
     /// A remote-get request carrying the payload descriptor the
@@ -405,8 +385,7 @@ pub(crate) struct RoutePlan {
 /// Mutable transmit half of a channel, guarded by the channel mutex.
 pub(crate) struct TxState {
     /// Frames awaiting transmission/ack, in sequence order. Selective
-    /// repeat works up to a window of them per pump visit; go-back-N mode
-    /// examines only the front.
+    /// repeat works up to a window of them per pump visit.
     pub queue: VecDeque<Frame>,
     /// Cached healthy route; `None` = recompute before next transmission.
     pub route: Option<Arc<RoutePlan>>,

@@ -13,7 +13,10 @@ use bytes::Bytes;
 /// refcounted window into the source region (standing in for the bytes the
 /// hardware would have placed in the FIFO's packet buffer), and
 /// [`PacketPayload::deposit`] performs the one region-to-destination copy.
-#[derive(Debug)]
+///
+/// Cloning is a refcount bump: a link-level frame keeps its payload while it
+/// awaits an ack and hands a clone to every delivery attempt.
+#[derive(Clone, Debug)]
 pub enum PacketPayload {
     /// Bytes staged in the packet (the `PAMI_Send_immediate` copy-through
     /// path). Shared slices of the message payload; cheap refcount clones.
@@ -110,8 +113,9 @@ pub struct MuPacket {
     /// fast path, per-channel under a fault plan. The retransmit protocol
     /// tracks frames by it.
     pub link_seq: u64,
-    /// CRC-32C over the header fields, metadata, and staged payload bytes
-    /// (zero when the fabric is built with CRC disabled). See
+    /// CRC-32C over the header fields, metadata, and staged payload bytes.
+    /// Zero on short-tier packets delivered over the lossless fabric, the
+    /// one route where nothing can touch the packet in flight. See
     /// [`MuPacket::verify_crc`].
     pub crc: u32,
     /// Short-tier flag: the packet is a complete message whose metadata and
@@ -187,9 +191,7 @@ impl MuPacket {
     }
 
     /// Receive-side integrity check: does the carried CRC match the packet
-    /// contents? Always `true` for packets from a fabric built with
-    /// [`crate::fabric::MuFabricBuilder::crc`]`(false)` (stamp is zero and
-    /// verification is skipped).
+    /// contents? Always `true` for an unstamped (zero-CRC) packet.
     pub fn verify_crc(&self) -> bool {
         self.crc == 0 || self.crc == self.compute_crc()
     }
@@ -261,7 +263,7 @@ mod tests {
         p.dispatch = 0;
         assert!(p.verify_crc());
         p.crc = 0;
-        assert!(p.verify_crc(), "zero stamp means CRC disabled");
+        assert!(p.verify_crc(), "zero stamp means unstamped");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! traffic that shares a path. Sends below the aggregation cutoff destined
 //! for the same endpoint append into a per-destination *coalescing bucket*;
 //! a full bucket (or an aged or explicitly flushed one) is injected as one
-//! multi-message MU packet train ([`bgq_mu::batch`]) under the internal
+//! multi-message MU packet ([`bgq_mu::batch`]) under the internal
 //! [`crate::proto::DISPATCH_AGGR`] dispatch id. The receiving context
 //! unbatches and dispatches each record through its handler memo.
 //!
@@ -20,9 +20,8 @@
 //!   send to it, so records never overtake or lag neighbouring traffic.
 //!   Frame cut order is frame injection order: emission runs under the
 //!   aggregator lock.
-//! * **Exactly-once under faults** — a frame is one message (a short-tier
-//!   packet when it fits, an eager train reassembled before unbatching
-//!   otherwise); the reliability layer retransmits or fails *frames*,
+//! * **Exactly-once under faults** — a frame is one message of one
+//!   short-tier packet; the reliability layer retransmits or fails *frames*,
 //!   never records, and unbatching is deterministic, so each record is
 //!   delivered exactly once iff its frame is.
 //!
@@ -53,14 +52,12 @@ pub struct AggrConfig {
     /// (the policy still decides per destination whether they *do*
     /// aggregate). Default 128 — the short-tier cutoff.
     pub cutoff: usize,
-    /// Frame payload budget in bytes. A frame that fits one short-tier
-    /// packet ([`bgq_torus::packet::MAX_PAYLOAD_BYTES`]) rides it whole on
-    /// the cut-through path; a larger frame rides the eager packet train
-    /// and is reassembled before unbatching. Clamped at machine build to
-    /// 16 packets — it bounds per-destination bucket memory. Default 512
-    /// (one packet): measured on the random-target flood, deeper frames
-    /// lose more to the train's per-packet cost than they win back in
-    /// batch depth, so the default stays on the single-packet fast path.
+    /// Frame payload budget in bytes, at most one short-tier packet
+    /// ([`bgq_torus::packet::MAX_PAYLOAD_BYTES`]): a frame always rides a
+    /// single packet, and [`crate::MachineBuilder::aggregation`] rejects a
+    /// larger budget — on the random-target flood, deeper frames lose more
+    /// to a packet train's per-packet cost than they win back in batch
+    /// depth (EXPERIMENTS.md). Default 512 (one full packet).
     pub max_frame: usize,
     /// Age bound: the oldest buffered record waits at most this many
     /// microseconds before `advance` cuts the bucket. A liveness bound for
@@ -100,7 +97,7 @@ pub enum FlushCause {
     Conflict,
 }
 
-/// A cut bucket, ready to inject: one short-tier packet train.
+/// A cut bucket, ready to inject: one short-tier packet.
 pub(crate) struct Frame {
     /// Destination endpoint of the frame itself (the bucket key; in
     /// node-bucket mode, the node's lead endpoint).

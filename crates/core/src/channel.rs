@@ -227,7 +227,7 @@ impl PersistentChannel {
         self.ctx
             .machine()
             .fabric()
-            .execute_now(self.ctx.node(), bound.slots[slot].clone());
+            .execute(self.ctx.node(), bound.slots[slot].clone());
         self.post_step += 1;
         // The put executed synchronously (or died trying): a fault raised
         // by it surfaces here, not on the next call.

@@ -506,8 +506,9 @@ impl Context {
             return Ok(());
         }
         let rec_fifo = self.rec_fifo_of(dest)?;
-        self.machine.fabric().send_short_now(
+        self.machine.fabric().send_short(
             self.node,
+            None,
             dest_node,
             rec_fifo,
             self.offset,
@@ -636,16 +637,21 @@ impl Context {
                     // queued and no engine mid-pop, so ordering lets the
                     // message skip the injection queue entirely — one
                     // inline envelope, no descriptor, no completion-counter
-                    // allocation, no fragment loop.
+                    // allocation, no fragment loop. Immediate bytes move
+                    // into the envelope; a region source is read once here.
+                    let payload = match args.payload {
+                        PayloadSource::Immediate(b) => b,
+                        region => region.to_bytes(),
+                    };
                     self.machine.fabric().send_short(
                         self.node,
-                        fifo,
+                        Some(fifo),
                         dest_node,
                         rec_fifo,
                         self.offset,
                         args.dispatch,
                         metadata,
-                        args.payload.to_bytes(),
+                        payload,
                         args.local_done,
                     );
                 } else {
@@ -915,14 +921,13 @@ impl Context {
         let Ok(rec_fifo) = self.rec_fifo_of(dest) else { return };
         let fifo = &self.inj_fifos[task as usize % self.inj_fifos.len()];
         let metadata = wire::envelope(self.task, stamp, &hdr);
-        // A frame that fits one short-tier packet rides it whole (with the
-        // cut-through when the FIFO is quiescent); a larger frame rides the
-        // eager packet train and is reassembled before unbatching.
-        let single_packet = frame.payload.len() <= bgq_torus::packet::MAX_PAYLOAD_BYTES;
-        if single_packet && fifo.is_quiescent() {
+        // A frame is always one packet (`MachineBuilder::aggregation` caps
+        // `max_frame` at the packet payload).
+        debug_assert!(frame.payload.len() <= bgq_torus::packet::MAX_PAYLOAD_BYTES);
+        if fifo.is_quiescent() {
             self.machine.fabric().send_short(
                 self.node,
-                fifo,
+                Some(fifo),
                 dest_node,
                 rec_fifo,
                 self.offset,
@@ -932,7 +937,6 @@ impl Context {
                 None,
             );
         } else {
-            let quiescent = fifo.is_quiescent();
             let desc = Descriptor {
                 dst_node: dest_node,
                 dst_context: dest.context,
@@ -943,18 +947,11 @@ impl Context {
                     rec_fifo,
                     dispatch: DISPATCH_AGGR,
                     metadata,
-                    short: single_packet,
+                    short: true,
                 },
                 inj_counter: None,
             };
-            if quiescent {
-                // Multi-packet train with nothing queued ahead of it: the
-                // `PAMI_Send_immediate` path executes the descriptor here,
-                // skipping the queue round trip without overtaking anything.
-                self.machine.fabric().execute_now(self.node, desc);
-            } else {
-                self.machine.fabric().inject_handle(self.node, fifo, desc);
-            }
+            self.machine.fabric().inject_handle(self.node, fifo, desc);
         }
     }
 
@@ -1362,55 +1359,15 @@ impl Context {
                 return;
             }
             if pkt.dispatch == DISPATCH_AGGR {
-                if pkt.is_last() {
-                    // A single-packet frame: unbatch and dispatch every
-                    // record straight from the packet buffer.
-                    let payload = match &pkt.payload {
-                        bgq_mu::PacketPayload::Inline(b) => b.clone(),
-                        _ => Bytes::copy_from_slice(pkt.payload.view()),
-                    };
-                    bc.dispatched += self.unbatch_aggr_frame(
-                        &mut st.handler_memo,
-                        src,
-                        stamp,
-                        &body,
-                        payload,
-                    );
-                    return;
-                }
-                // A multi-packet frame (eager train): stage the packets in
-                // a scratch region and unbatch once the last one lands —
-                // the records need the full contiguous frame.
-                let total = pkt.msg_len as usize;
-                let region = MemRegion::zeroed(total);
-                let pkt_len = pkt.payload.len();
-                pkt.payload.deposit(&region, 0);
-                bc.copies += 1;
-                let hdr = body.clone();
-                let frame_region = region.clone();
-                st.reassembly.insert(
-                    (pkt.src_node, pkt.msg_id),
-                    Reassembly {
-                        region,
-                        base_offset: 0,
-                        remaining: total - pkt_len,
-                        on_complete: Some(Box::new(move |ctx: &Context, res| {
-                            if res.is_ok() {
-                                let payload = Bytes::from(frame_region.to_vec());
-                                ctx.unbatch_aggr_frame(
-                                    &mut None,
-                                    src,
-                                    stamp,
-                                    &hdr,
-                                    payload,
-                                );
-                            }
-                        })),
-                        stamp,
-                        total_len: total,
-                    },
-                );
-                self.pending_internal.fetch_add(1, Ordering::AcqRel);
+                // A frame is one inline packet: unbatch and dispatch every
+                // record straight from the packet buffer.
+                debug_assert!(pkt.is_last(), "aggregated frames are one packet");
+                let payload = match &pkt.payload {
+                    bgq_mu::PacketPayload::Inline(b) => b.clone(),
+                    _ => Bytes::copy_from_slice(pkt.payload.view()),
+                };
+                bc.dispatched +=
+                    self.unbatch_aggr_frame(&mut st.handler_memo, src, stamp, &body, payload);
                 return;
             }
             let msg = IncomingMsg {
@@ -1687,7 +1644,7 @@ impl Context {
             return Ok(());
         }
         let rec_fifo = self.rec_fifo_of(dest)?;
-        self.machine.fabric().execute_now(
+        self.machine.fabric().execute(
             self.node,
             Descriptor {
                 dst_node: dest_node,

@@ -225,7 +225,6 @@ pub struct MachineBuilder {
     inj_fifo_capacity: usize,
     rec_fifo_capacity: usize,
     fault_plan: Option<FaultPlan>,
-    packet_crc: bool,
     transport: Option<Arc<dyn bgq_mu::Transport>>,
     telemetry: Option<Upc>,
     combining: bool,
@@ -325,13 +324,6 @@ impl MachineBuilder {
         self
     }
 
-    /// Enable/disable per-packet CRC-32C stamping (default on). Turning it
-    /// off isolates the integrity-check cost in benchmarks.
-    pub fn packet_crc(mut self, on: bool) -> Self {
-        self.packet_crc = on;
-        self
-    }
-
     /// Enable in-network combining of hot-key fetch-adds (default off):
     /// [`crate::Context::rmw`] fetch-adds to the same (window, offset)
     /// coalesce at every torus hop toward the target, which applies the
@@ -346,8 +338,8 @@ impl MachineBuilder {
     /// Enable destination-aware small-message aggregation (`pami::aggr`,
     /// default off): sends the policy routes to [`crate::Protocol::Aggregated`]
     /// append into per-destination coalescing buckets and travel as
-    /// multi-message packet trains. Installing a config also arms the
-    /// policy's aggregation tier: a static-policy build gets a fixed
+    /// multi-message frames of one packet each. Installing a config also
+    /// arms the policy's aggregation tier: a static-policy build gets a fixed
     /// `cutoff`-byte aggregation tier; an adaptive build gets its
     /// `aggr_cutoff` seeded from `cutoff` (unless the caller's
     /// [`AdaptiveConfig`] already set one), so the arrival-rate EWMA decides
@@ -356,6 +348,11 @@ impl MachineBuilder {
     pub fn aggregation(mut self, cfg: AggrConfig) -> Self {
         assert!(cfg.cutoff >= 1, "aggregation cutoff must be at least 1 byte");
         assert!(cfg.max_frame >= 64, "aggregated frames below 64 bytes cannot amortize anything");
+        assert!(
+            cfg.max_frame <= bgq_torus::packet::MAX_PAYLOAD_BYTES,
+            "an aggregated frame is one packet: max_frame must not exceed {} bytes",
+            bgq_torus::packet::MAX_PAYLOAD_BYTES
+        );
         self.aggregation = Some(cfg);
         self
     }
@@ -376,13 +373,9 @@ impl MachineBuilder {
         let telemetry = self.telemetry.unwrap_or_default();
         let coll_probes = crate::coll::CollProbes::new(&telemetry);
         let coll_registry = crate::coll::CollRegistry::with_builtins();
-        // A frame that fits one short-tier packet rides it whole; a larger
-        // frame rides the eager packet train. Cap the frame budget at a
-        // sane multiple of the packet payload (it bounds per-destination
-        // bucket memory), and keep the record cutoff below the frame so at
-        // least one record always fits.
+        // Keep the record cutoff below the frame so at least one record
+        // always fits.
         let aggregation = self.aggregation.map(|mut cfg| {
-            cfg.max_frame = cfg.max_frame.min(16 * bgq_torus::packet::MAX_PAYLOAD_BYTES);
             cfg.cutoff = cfg.cutoff.min(cfg.max_frame / 2);
             cfg
         });
@@ -420,7 +413,6 @@ impl MachineBuilder {
             .engine_mode(self.engine_mode)
             .inj_fifo_capacity(self.inj_fifo_capacity)
             .rec_fifo_capacity(self.rec_fifo_capacity)
-            .crc(self.packet_crc)
             .telemetry(telemetry.clone());
         if let Some(plan) = fault_plan {
             fabric_builder = fabric_builder.fault_plan(plan);
@@ -596,7 +588,6 @@ impl Machine {
             inj_fifo_capacity: 128,
             rec_fifo_capacity: 512,
             fault_plan: None,
-            packet_crc: true,
             transport: None,
             telemetry: None,
             combining: false,

@@ -48,7 +48,7 @@ pub const SHORT_CUTOFF: usize = 128;
 pub enum Protocol {
     /// The send is appended into a per-destination coalescing bucket
     /// (`pami::aggr`) and travels later as one record of a multi-message
-    /// packet train — the TRAM-style amortization of per-message software
+    /// packet — the TRAM-style amortization of per-message software
     /// overhead. Only ever selected for payloads at or below the
     /// aggregation cutoff, and (adaptively) only for destinations whose
     /// observed arrival rate is dense enough that the batching delay is

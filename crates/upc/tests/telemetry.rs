@@ -327,7 +327,7 @@ fn mu_packets_dropped_counter_is_live_under_fault_injection() {
     let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
     let done = bgq_hw::Counter::new();
     done.add_expected(4096);
-    fabric.execute_now(
+    fabric.execute(
         0,
         Descriptor {
             dst_node: 1,
