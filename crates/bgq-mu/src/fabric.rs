@@ -6,9 +6,9 @@
 //! packets for memory-FIFO traffic, copying directly into destination
 //! regions for puts, and bouncing remote-gets to the destination's system
 //! FIFO. Without a fault plan, delivery is immediate and reliable (the
-//! torus is lossless); *who* executes a descriptor and in what order is
-//! exactly what the engine modes control, because that is what the paper's
-//! concurrency story is about.
+//! torus is lossless). A descriptor executes on the thread that pumps its
+//! FIFO — the owning context's `advance`, or a commthread advancing that
+//! context — so per-FIFO execution order is program order.
 //!
 //! With a [`FaultPlan`] installed ([`MuFabricBuilder::fault_plan`]), inter-
 //! node traffic rides per-(src, dst) reliable channels (see
@@ -19,26 +19,27 @@
 //! torus reroutes; and exhausted retry budgets fail completion counters
 //! with a typed [`bgq_hw::DeliveryFault`] instead of hanging pollers.
 //!
-//! Every memory-FIFO message — a queued or immediate descriptor, or a
-//! short-tier envelope — takes one path: a *fate oracle* decides whether it
-//! can deliver synchronously right now (lossless fabric, fair weather on a
-//! clean plan, or a peek at a uniform lossy plan's dice) or must go to the
-//! reliable channel's frame queue, and everything it passes lands in one
-//! synchronous deposit. Every packet carries a link sequence number and a
-//! CRC-32C stamp — the measurable cost of integrity checking — except a
-//! short-tier envelope on the lossless fabric, where nothing can touch it.
+//! Every descriptor kind — a memory-FIFO message (queued or immediate, or a
+//! short-tier envelope), a direct put, a remote get, an rmw — takes one
+//! path: a *fate oracle* decides whether it can deliver synchronously right
+//! now (lossless fabric, fair weather on a clean plan, or a peek at a
+//! uniform lossy plan's dice) or must go to the reliable channel's frame
+//! queue. A passed memory-FIFO message lands in one synchronous deposit; a
+//! passed put, get or rmw is applied whole, once. Every memory-FIFO packet
+//! carries a link sequence number and a CRC-32C stamp — the measurable cost
+//! of integrity checking — except a short-tier envelope on the lossless
+//! fabric, where nothing can touch it.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use bgq_hw::{DeliveryFault, WakeupRegion, WakeupUnit};
+use bgq_hw::{DeliveryFault, WakeupRegion};
 use bgq_torus::packet::MAX_PAYLOAD_BYTES;
 use bgq_torus::{healthy_route, Coords, Dir, LinkHealth, TorusShape};
 use bgq_upc::{Counter, Upc};
 
 use crate::comb::{CombCounters, CombState, RmwLocks};
 use crate::descriptor::{Descriptor, PayloadSource, RmwOp, XferKind};
-use crate::engine::{self, EngineMode};
 use crate::faults::{link_id, Fate, FaultInjector, FaultPlan};
 use crate::fifo::{
     FifoAllocator, FifoTable, InjFifo, InjFifoId, MsgIdLane, RecFifo, RecFifoId,
@@ -59,10 +60,10 @@ enum Arrival {
     FastRetransmit,
 }
 
-/// What the fate oracle ([`MuFabric::oracle`]) decided for one memory-FIFO
-/// message.
+/// What the fate oracle ([`MuFabric::oracle`]) decided for one message.
 enum Verdict<'a> {
-    /// Deliver synchronously now, under link sequence numbers from `base`.
+    /// Deliver synchronously now, under link sequence numbers from `base`
+    /// (0 when the lossless fabric had no sequence source to draw from).
     Pass {
         base: u64,
         /// No reliable channel carries the message: the lossless fabric,
@@ -99,6 +100,21 @@ fn packet_payload(payload: &PayloadSource, off: usize, chunk: usize, stage: bool
         PayloadSource::Region { region, offset, .. } => {
             PacketPayload::Region { region: region.clone(), offset: offset + off, len: chunk }
         }
+    }
+}
+
+/// A put, remote get or rmw as the one frame body that applies the whole
+/// transfer (a put carries its entire payload), built by move.
+fn one_sided_body(kind: XferKind, payload: PayloadSource) -> FrameBody {
+    match kind {
+        XferKind::DirectPut { dst_region, dst_offset, rec_counter } => {
+            FrameBody::Put { dst_region, dst_offset, payload: payload.into(), rec_counter }
+        }
+        XferKind::RemoteGet { payload: desc } => FrameBody::Get { desc },
+        XferKind::Rmw { win_key, dst_region, dst_offset, op, operand, compare, reply } => {
+            FrameBody::Rmw { win_key, dst_region, dst_offset, op, operand, compare, reply }
+        }
+        XferKind::MemoryFifo { .. } => unreachable!("memory-FIFO messages take send_fifo"),
     }
 }
 use crate::packet::{MuPacket, PacketPayload};
@@ -151,7 +167,8 @@ pub struct MuCounters {
     pub put_bytes_in: Counter,
     /// Remote-get requests serviced by this node.
     pub remote_gets_serviced: Counter,
-    /// Descriptors executed by this node's engines.
+    /// Descriptors executed on this node: pumped from its injection or
+    /// system FIFOs, or executed immediately ([`MuFabric::execute`]).
     pub descriptors_executed: Counter,
     /// Payload copies performed on this node: receive-side deposits out of
     /// the reception FIFO, plus source-side per-packet DMA staging when an
@@ -185,8 +202,6 @@ pub(crate) struct NodeMu {
     /// this node to execute.
     pub sys_inj: Arc<InjFifo>,
     pub sys_wakeup: OnceLock<WakeupRegion>,
-    /// Wakes this node's engine threads (threaded mode).
-    pub engine_wakeup: WakeupRegion,
     /// Fallback message-id lane ([`crate::fifo::NODE_LANE`]) for
     /// messages sent without an injection FIFO ([`MuFabric::execute`],
     /// FIFO-less short sends). FIFO-routed messages mint from their own
@@ -205,8 +220,6 @@ pub(crate) struct FabricInner {
     pub nodes: Vec<NodeMu>,
     pub inj_fifo_capacity: usize,
     pub rec_fifo_capacity: usize,
-    pub mode: EngineMode,
-    pub shutdown: Arc<AtomicBool>,
     /// `ras.*` probes — registered even without a fault plan so the report
     /// schema is stable (they just stay zero).
     pub ras: Arc<RasCounters>,
@@ -231,7 +244,6 @@ pub struct MuFabricBuilder {
     shape: TorusShape,
     inj_fifo_capacity: usize,
     rec_fifo_capacity: usize,
-    mode: EngineMode,
     telemetry: Upc,
     fault_plan: Option<FaultPlan>,
     ras_ring_capacity: usize,
@@ -249,12 +261,6 @@ impl MuFabricBuilder {
     /// Ring capacity of each reception FIFO before overflow (default 512).
     pub fn rec_fifo_capacity(mut self, cap: usize) -> Self {
         self.rec_fifo_capacity = cap;
-        self
-    }
-
-    /// Select who pumps injection FIFOs (default [`EngineMode::Inline`]).
-    pub fn engine_mode(mut self, mode: EngineMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -299,9 +305,8 @@ impl MuFabricBuilder {
         self
     }
 
-    /// Build the fabric (and spawn engine threads in threaded mode).
+    /// Build the fabric.
     pub fn build(self) -> MuFabric {
-        let wakeups = WakeupUnit::new();
         let nodes: Vec<NodeMu> = (0..self.shape.num_nodes())
             .map(|node| NodeMu {
                 inj: FifoTable::new(INJ_FIFOS_PER_NODE),
@@ -313,7 +318,6 @@ impl MuFabricBuilder {
                     crate::fifo::SYS_LANE,
                 )),
                 sys_wakeup: OnceLock::new(),
-                engine_wakeup: wakeups.region(),
                 msg_lane: MsgIdLane::new(node as u32, crate::fifo::NODE_LANE),
                 link_seq: AtomicU64::new(0),
                 counters: MuCounters::new(&self.telemetry),
@@ -337,8 +341,6 @@ impl MuFabricBuilder {
             nodes,
             inj_fifo_capacity: self.inj_fifo_capacity,
             rec_fifo_capacity: self.rec_fifo_capacity,
-            mode: self.mode,
-            shutdown: Arc::new(AtomicBool::new(false)),
             ras,
             ring,
             reliability,
@@ -346,11 +348,7 @@ impl MuFabricBuilder {
             rmw_locks: RmwLocks::new(),
             comb,
         });
-        let fabric = MuFabric { inner };
-        if let EngineMode::Threaded(n) = self.mode {
-            engine::spawn_engines(&fabric, n);
-        }
-        fabric
+        MuFabric { inner }
     }
 }
 
@@ -367,7 +365,6 @@ impl MuFabric {
             shape,
             inj_fifo_capacity: 128,
             rec_fifo_capacity: 512,
-            mode: EngineMode::Inline,
             telemetry: Upc::new(),
             fault_plan: None,
             ras_ring_capacity: 1024,
@@ -397,11 +394,6 @@ impl MuFabric {
         self.inner.nodes.len()
     }
 
-    /// The engine mode the fabric was built with.
-    pub fn engine_mode(&self) -> EngineMode {
-        self.inner.mode
-    }
-
     fn node(&self, id: u32) -> &NodeMu {
         &self.inner.nodes[id as usize]
     }
@@ -423,23 +415,6 @@ impl MuFabric {
             None => fifo.deliver_batch(npackets, make),
             Some(t) => t.deliver(src_node, dst_node, rec_fifo, fifo, npackets, make),
         }
-    }
-
-    /// Deposit whatever the installed transport has due at its current
-    /// (virtual) time; returns deposits performed. A no-op — zero, no
-    /// locks — on the default synchronous fabric. Pumped alongside the
-    /// system FIFO by the engine loops so threaded-mode fabrics drain a
-    /// scheduling transport without help from the harness.
-    pub fn pump_transport(&self) -> usize {
-        match &self.inner.transport {
-            None => 0,
-            Some(t) => t.pump(),
-        }
-    }
-
-    /// Whether a transport seam is installed (diagnostics).
-    pub fn has_transport(&self) -> bool {
-        self.inner.transport.is_some()
     }
 
     /// Install an observer invoked on every RAS event recorded by the
@@ -502,20 +477,11 @@ impl MuFabric {
         let _ = self.node(node).sys_wakeup.set(region);
     }
 
-    /// Queue a descriptor on one of `src_node`'s injection FIFOs.
+    /// Queue a descriptor on one of `src_node`'s injection FIFOs. (A
+    /// context pushes onto its cached [`InjFifo::queue`] handles directly,
+    /// skipping the table lookup.)
     pub fn inject(&self, src_node: u32, fifo: InjFifoId, desc: Descriptor) {
-        let fifo = Arc::clone(self.node(src_node).inj.get(fifo.0));
-        self.inject_handle(src_node, &fifo, desc);
-    }
-
-    /// Queue a descriptor on an injection FIFO the caller already holds a
-    /// handle to — the context hot path, which caches its exclusive FIFO
-    /// handles and skips the table lookup entirely.
-    pub fn inject_handle(&self, src_node: u32, fifo: &InjFifo, desc: Descriptor) {
-        fifo.queue.push(desc);
-        if matches!(self.inner.mode, EngineMode::Threaded(_)) {
-            self.node(src_node).engine_wakeup.touch();
-        }
+        self.node(src_node).inj.get(fifo.0).queue.push(desc);
     }
 
     /// Execute a descriptor immediately in the calling thread — the
@@ -582,9 +548,8 @@ impl MuFabric {
         );
     }
 
-    /// Drain up to `budget` descriptors from one injection FIFO (inline
-    /// engine mode: contexts call this from `advance`). Returns descriptors
-    /// executed.
+    /// Drain up to `budget` descriptors from one injection FIFO (contexts
+    /// call this from `advance`). Returns descriptors executed.
     pub fn pump_inj(&self, node: u32, fifo: InjFifoId, budget: usize) -> usize {
         let fifo = Arc::clone(self.node(node).inj.get(fifo.0));
         self.pump_inj_handle(node, &fifo, budget)
@@ -733,19 +698,17 @@ impl MuFabric {
             );
             return;
         }
-        match &self.inner.reliability {
-            // Self-sends cross no torus link and keep the direct path.
-            Some(rel) if desc.dst_node != src_node => self.execute_reliable(rel, src_node, desc),
-            _ => self.execute_direct(desc),
-        }
+        self.send_one_sided(src_node, desc);
     }
 
     /// The fate oracle: decides, before any packet is built, whether a
-    /// memory-FIFO message of `npackets` packets delivers synchronously now
+    /// message of `npackets` packets (or frames) delivers synchronously now
     /// or goes to the frame queue, and draws its link sequence numbers
     /// where it can.
     ///
-    /// - lossless fabric, or a self-send ⇒ pass, seqs from `seq_src`;
+    /// - lossless fabric, or a self-send ⇒ pass, seqs from `seq_src` (none
+    ///   drawn without one: puts, gets and rmws carry no link sequence
+    ///   numbers there);
     /// - clean plan, links up, channel alive, no backlog ⇒ pass, channel
     ///   seqs;
     /// - uniform lossy plan without kill schedules, same conditions ⇒
@@ -770,12 +733,12 @@ impl MuFabric {
         src_node: u32,
         dst_node: u32,
         npackets: u64,
-        seq_src: &AtomicU64,
+        seq_src: Option<&AtomicU64>,
     ) -> Verdict<'a> {
         let rel = match &self.inner.reliability {
             Some(rel) if dst_node != src_node => rel,
             _ => {
-                let base = seq_src.fetch_add(npackets, Ordering::Relaxed);
+                let base = seq_src.map_or(0, |s| s.fetch_add(npackets, Ordering::Relaxed));
                 return Verdict::Pass { base, lossless: true, peeked: false };
             }
         };
@@ -856,7 +819,7 @@ impl MuFabric {
         // deposit.
         let stage = inj_counter.is_some() && matches!(payload, PayloadSource::Region { .. });
         let msg_id = lane.next();
-        match self.oracle(src_node, dst_node, npackets, link_seq) {
+        match self.oracle(src_node, dst_node, npackets, Some(link_seq)) {
             Verdict::Pass { base, lossless, peeked } => {
                 self.deliver_sync(
                     src_node,
@@ -872,10 +835,8 @@ impl MuFabric {
                     short,
                     stamp_lossless || !lossless,
                 );
-                if let (true, Some(t)) = (peeked, &self.inner.transport) {
-                    for _ in 0..npackets {
-                        t.deliver_control(dst_node, src_node, Self::ACK_WIRE_BYTES);
-                    }
+                if peeked {
+                    self.charge_acks(src_node, dst_node, npackets);
                 }
                 if let Some(c) = inj_counter {
                     c.delivered(credit);
@@ -981,56 +942,67 @@ impl MuFabric {
         }
     }
 
-    /// Puts, remote gets and rmws on the lossless fabric (and self-sends
-    /// under a fault plan): immediate, synchronous delivery.
-    fn execute_direct(&self, desc: Descriptor) {
+    /// The one path for puts, remote gets and rmws, mirroring
+    /// [`MuFabric::send_fifo`]: the fate oracle decides, then either the
+    /// whole transfer is applied once through [`MuFabric::deliver_body`] —
+    /// a passed put writes its destination in one region copy — or it goes
+    /// to the frame queue as one frame per ≤512-byte window of a put, one
+    /// frame for a get or an rmw (the channel's sequence dedup gives a
+    /// retransmitted atomic exactly-once application for free).
+    /// Synchronous delivery doubles as the ack, so the injection counter
+    /// fires here on a pass.
+    fn send_one_sided(&self, src_node: u32, desc: Descriptor) {
         let credit = desc.completion_credit();
         let Descriptor { dst_node, payload, kind, inj_counter, .. } = desc;
-        // Functional delivery is identical for both routing modes (the
-        // fabric is lossless and in-process); the mode matters to the
-        // timing models and to the ordering contract asserted in tests.
-        match kind {
-            XferKind::MemoryFifo { .. } => unreachable!("memory-FIFO messages take the oracle"),
-            XferKind::DirectPut { dst_region, dst_offset, rec_counter } => {
-                match &payload {
-                    PayloadSource::Immediate(bytes) => {
-                        dst_region.write(dst_offset, bytes);
-                    }
-                    PayloadSource::Region { region, offset, len } => {
-                        dst_region.copy_from(dst_offset, region, *offset, *len);
-                    }
+        let n = match kind {
+            XferKind::DirectPut { .. } => bgq_torus::packet::packets_for(payload.len()) as u64,
+            _ => 1,
+        };
+        match self.oracle(src_node, dst_node, n, None) {
+            Verdict::Pass { base, peeked, .. } => {
+                let body = one_sided_body(kind, payload);
+                self.deliver_body(src_node, dst_node, base, credit, &body);
+                if peeked {
+                    self.charge_acks(src_node, dst_node, n);
                 }
-                self.node(dst_node).counters.put_bytes_in.add(payload.len() as u64);
-                if let Some(c) = rec_counter {
+                if let Some(c) = inj_counter {
                     c.delivered(credit);
                 }
             }
-            XferKind::RemoteGet { payload: get_desc } => {
-                let dst = self.node(dst_node);
-                dst.sys_inj.queue.push(*get_desc);
-                if let Some(w) = dst.sys_wakeup.get() {
-                    w.touch();
-                }
-                if matches!(self.inner.mode, EngineMode::Threaded(_)) {
-                    dst.engine_wakeup.touch();
-                }
-            }
-            XferKind::Rmw { win_key, dst_region, dst_offset, op, operand, compare, reply } => {
-                let prior = self.inner.rmw_locks.apply(
-                    win_key,
-                    &dst_region,
-                    dst_offset,
-                    op,
-                    operand,
-                    compare,
-                );
-                if let Some(r) = reply {
-                    r.region.write(r.offset, &prior.to_le_bytes());
-                }
+            Verdict::Queue { rel, ch, base } => {
+                let mut whole = Some((kind, payload));
+                let frames = (0..n).map(move |i| match &whole {
+                    Some((
+                        XferKind::DirectPut { dst_region, dst_offset, rec_counter },
+                        payload,
+                    )) if n > 1 => {
+                        let (off, chunk) = packet_window(payload.len(), i);
+                        let body = FrameBody::Put {
+                            dst_region: dst_region.clone(),
+                            dst_offset: dst_offset + off,
+                            payload: packet_payload(payload, off, chunk, false),
+                            rec_counter: rec_counter.clone(),
+                        };
+                        (chunk as u64, body)
+                    }
+                    _ => {
+                        let (kind, payload) = whole.take().expect("a one-frame transfer");
+                        (credit, one_sided_body(kind, payload))
+                    }
+                });
+                self.enqueue_frames(rel, ch, src_node, base, inj_counter, n, frames);
             }
         }
-        if let Some(c) = inj_counter {
-            c.delivered(credit);
+    }
+
+    /// Charge `n` acks crossing back from `dst_node` to `src_node` to the
+    /// transport seam — also a peeked pass's, whose acks crossed the
+    /// reverse route exactly as the pump's would have.
+    fn charge_acks(&self, src_node: u32, dst_node: u32, n: u64) {
+        if let Some(t) = &self.inner.transport {
+            for _ in 0..n {
+                t.deliver_control(dst_node, src_node, Self::ACK_WIRE_BYTES);
+            }
         }
     }
 
@@ -1191,71 +1163,6 @@ impl MuFabric {
             done += self.pump_channel_locked(rel, ch, &mut guard, now, budget - done);
         }
         done + comb_events
-    }
-
-    /// Decompose a put, remote get or rmw into link-level frames on the
-    /// (src, dst) channel. Memory-FIFO messages never come here: the fate
-    /// oracle routes them.
-    fn execute_reliable(&self, rel: &Reliability, src_node: u32, desc: Descriptor) {
-        let total_credit = desc.completion_credit();
-        let Descriptor { dst_node, payload, kind, inj_counter, .. } = desc;
-        let ch = rel.channel(src_node, dst_node);
-        match kind {
-            XferKind::DirectPut { dst_region, dst_offset, rec_counter } => {
-                let len = payload.len();
-                let n = bgq_torus::packet::packets_for(len) as u64;
-                let frames = (0..n).map(|i| {
-                    let (off, chunk) = packet_window(len, i);
-                    let body = FrameBody::Put {
-                        dst_region: dst_region.clone(),
-                        dst_offset: dst_offset + off,
-                        payload: packet_payload(&payload, off, chunk, false),
-                        rec_counter: rec_counter.clone(),
-                    };
-                    (if len == 0 { total_credit } else { chunk as u64 }, body)
-                });
-                self.send_frames(rel, ch, src_node, inj_counter, n, frames);
-            }
-            XferKind::RemoteGet { payload: get_desc } => {
-                let frame = (total_credit, FrameBody::Get { desc: get_desc });
-                self.send_frames(rel, ch, src_node, inj_counter, 1, std::iter::once(frame));
-            }
-            XferKind::Rmw { win_key, dst_region, dst_offset, op, operand, compare, reply } => {
-                // One frame per rmw: the channel's sequence dedup gives the
-                // retransmitted atomic exactly-once application for free.
-                let body =
-                    FrameBody::Rmw { win_key, dst_region, dst_offset, op, operand, compare, reply };
-                let frame = (total_credit, body);
-                self.send_frames(rel, ch, src_node, inj_counter, 1, std::iter::once(frame));
-            }
-            XferKind::MemoryFifo { .. } => unreachable!("memory-FIFO messages take the oracle"),
-        }
-    }
-
-    /// Send `n` put/get/rmw frames. With a clean plan in fair weather a
-    /// frame cannot be touched in flight, so it is delivered (and thereby
-    /// acked) synchronously without the channel lock; otherwise the frames
-    /// go to the queue.
-    fn send_frames(
-        &self,
-        rel: &Reliability,
-        ch: &Channel,
-        src_node: u32,
-        inj_counter: Option<bgq_hw::Counter>,
-        n: u64,
-        frames: impl Iterator<Item = (u64, FrameBody)>,
-    ) {
-        if !(rel.clean && Self::fair_weather(rel, ch)) {
-            self.enqueue_frames(rel, ch, src_node, None, inj_counter, n, frames);
-            return;
-        }
-        for (credit, body) in frames {
-            let seq = ch.next_seq.fetch_add(1, Ordering::Relaxed);
-            self.deliver_body(ch, seq, credit, &body);
-            if let Some(c) = &inj_counter {
-                c.delivered(credit);
-            }
-        }
     }
 
     /// The frame builder's queue: append `n` frames to `ch` under
@@ -1481,9 +1388,7 @@ impl MuFabric {
                 }
             }
         }
-        if let Some(t) = &self.inner.transport {
-            t.deliver_control(ch.dst, ch.src, Self::ACK_WIRE_BYTES);
-        }
+        self.charge_acks(ch.src, ch.dst, 1);
         true
     }
 
@@ -1539,7 +1444,7 @@ impl MuFabric {
                 {
                     let f = &mut tx.queue[idx];
                     let (fseq, credit) = (f.seq, f.credit);
-                    self.deliver_body(ch, fseq, credit, &f.body);
+                    self.deliver_body(ch.src, ch.dst, fseq, credit, &f.body);
                     f.state = FrameState::AckWait { since: now };
                 }
                 *done += 1;
@@ -1555,7 +1460,7 @@ impl MuFabric {
                     }
                     let f = &mut tx.queue[j];
                     let credit = f.credit;
-                    self.deliver_body(ch, fseq, credit, &f.body);
+                    self.deliver_body(ch.src, ch.dst, fseq, credit, &f.body);
                     f.state = FrameState::AckWait { since: now };
                     *done += 1;
                     cum = fseq;
@@ -1752,9 +1657,7 @@ impl MuFabric {
                         // Fair-weather: a clean plan with all links up
                         // cannot touch the frame or its ack.
                         if rel.clean && !rel.health.any_down() {
-                            if let Some(t) = &self.inner.transport {
-                                t.deliver_control(ch.dst, ch.src, Self::ACK_WIRE_BYTES);
-                            }
+                            self.charge_acks(ch.src, ch.dst, 1);
                             match self.sr_arrival(rel, ch, tx, idx, seq, now, true, &mut done)
                             {
                                 Arrival::Advance => idx += 1,
@@ -1862,12 +1765,13 @@ impl MuFabric {
         });
     }
 
-    /// Deposit one frame body at the destination — the data crossed the
-    /// wire — without crediting the source completion counter (under
-    /// selective repeat that happens when the cumulative ack arrives; see
-    /// [`MuFabric::retire_through`]). Borrows the body because the frame
-    /// stays queued until acked; the clones below are refcount bumps.
-    fn deliver_body(&self, ch: &Channel, seq: u64, credit: u64, body: &FrameBody) {
+    /// Deposit one frame body at `dst` — the data crossed the wire from
+    /// `src` — without crediting the source completion counter (a pass
+    /// credits it right after; under selective repeat that happens when
+    /// the cumulative ack arrives, see [`MuFabric::retire_through`]).
+    /// Borrows the body because a queued frame stays queued until acked;
+    /// the clones below are refcount bumps.
+    fn deliver_body(&self, src: u32, dst: u32, seq: u64, credit: u64, body: &FrameBody) {
         match body {
             FrameBody::Packet {
                 rec_fifo,
@@ -1880,9 +1784,9 @@ impl MuFabric {
                 short,
                 payload,
             } => {
-                let dst = self.node(ch.dst);
+                let dst_mu = self.node(dst);
                 let mut pkt = MuPacket {
-                    src_node: ch.src,
+                    src_node: src,
                     src_context: *src_context,
                     dispatch: *dispatch,
                     metadata: metadata.clone(),
@@ -1896,10 +1800,10 @@ impl MuFabric {
                 };
                 pkt.crc = pkt.compute_crc();
                 let mut pkt = Some(pkt);
-                self.deposit(ch.src, ch.dst, *rec_fifo, dst.rec.get(rec_fifo.0), 1, &mut |_| {
+                self.deposit(src, dst, *rec_fifo, dst_mu.rec.get(rec_fifo.0), 1, &mut |_| {
                     pkt.take().expect("one frame, one packet")
                 });
-                dst.counters.packets_received.incr();
+                dst_mu.counters.packets_received.incr();
             }
             FrameBody::Put { dst_region, dst_offset, payload, rec_counter } => {
                 match payload {
@@ -1908,19 +1812,16 @@ impl MuFabric {
                         dst_region.copy_from(*dst_offset, region, *offset, *len);
                     }
                 }
-                self.node(ch.dst).counters.put_bytes_in.add(payload.len() as u64);
+                self.node(dst).counters.put_bytes_in.add(payload.len() as u64);
                 if let Some(c) = rec_counter {
                     c.delivered(credit);
                 }
             }
             FrameBody::Get { desc } => {
-                let dst = self.node(ch.dst);
-                dst.sys_inj.queue.push((**desc).clone());
-                if let Some(w) = dst.sys_wakeup.get() {
+                let dst_mu = self.node(dst);
+                dst_mu.sys_inj.queue.push((**desc).clone());
+                if let Some(w) = dst_mu.sys_wakeup.get() {
                     w.touch();
-                }
-                if matches!(self.inner.mode, EngineMode::Threaded(_)) {
-                    dst.engine_wakeup.touch();
                 }
             }
             FrameBody::Rmw { win_key, dst_region, dst_offset, op, operand, compare, reply } => {
@@ -1939,19 +1840,6 @@ impl MuFabric {
                     r.region.write(r.offset, &prior.to_le_bytes());
                 }
             }
-        }
-    }
-}
-
-impl Drop for FabricInner {
-    fn drop(&mut self) {
-        // Engine threads hold only a Weak fabric handle plus clones of the
-        // shutdown flag and wakeup regions, so they can never keep the
-        // fabric alive; raising the flag and touching the regions lets them
-        // exit promptly (they also exit on their park timeout).
-        self.shutdown.store(true, Ordering::SeqCst);
-        for n in &self.nodes {
-            n.engine_wakeup.touch();
         }
     }
 }
@@ -2348,11 +2236,27 @@ mod tests {
         // exactly as the frame queue would. Plan A is uniform, so the
         // oracle peeks. Plan B adds a same-rate override on a link off the
         // 0 <-> 1 route, which disables the peek without changing any die
-        // the route rolls, so every message queues. The same seeded stream
-        // of 1- and 3-packet messages must leave the same fault history
-        // and the same deliveries.
-        type Run = (Vec<u64>, Vec<(u64, RasEventKind, u32, u32, u64)>, Vec<(u64, u64, bool)>);
+        // the route rolls, so every transfer queues. The same seeded
+        // stream of 1- and 3-packet messages, 1- and 3-packet puts, remote
+        // gets and rmws must leave the same fault history, the same
+        // deliveries and the same destination bytes.
+        type Run = (
+            Vec<u64>,
+            Vec<(u64, RasEventKind, u32, u32, u64)>,
+            Vec<(u64, u64, bool)>,
+            Vec<Vec<u8>>,
+        );
+        const N: usize = 600;
         let off_route = bgq_torus::Dir { dim: bgq_torus::Dim::B, plus: true };
+        let one_sided = |dst_node: u32, kind: XferKind, payload: PayloadSource| Descriptor {
+            dst_node,
+            dst_context: 0,
+            src_context: 0,
+            routing: bgq_torus::Routing::Dynamic,
+            payload,
+            kind,
+            inj_counter: None,
+        };
         let run = |queue_all: bool| -> Run {
             let mut plan = FaultPlan::new().seed(4242).drop_rate(0.01).corrupt_rate(0.01).retry(
                 RetryConfig { window: 8, rto_ticks: 1, rto_max_ticks: 8, retry_budget: 64 },
@@ -2365,13 +2269,21 @@ mod tests {
             let rel = fabric.inner.reliability.as_ref().unwrap();
             assert_eq!(rel.injector.uniform_thresholds().is_none(), queue_all);
             let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+            // Node 1's put window and rmw word; node 0's get landing zone
+            // and rmw reply slots.
+            let window = MemRegion::zeroed(N * 1200);
+            let word = MemRegion::zeroed(8);
+            let remote = MemRegion::from_vec((0..64).map(|b| b as u8 ^ 0x5a).collect());
+            let landing = MemRegion::zeroed(N * 64);
+            let replies = MemRegion::zeroed(N * 8);
+            let landed = Counter::new();
             let mut delivered = Vec::new();
             let mut drain = |f: &MuFabric| {
                 while let Some(p) = f.poll_rec(1, rec) {
                     delivered.push((p.msg_id, p.link_seq, p.short));
                 }
             };
-            for i in 0..600usize {
+            for i in 0..N {
                 if i % 4 == 1 {
                     let payload = Bytes::from(vec![i as u8; 64]);
                     fabric.send_short(0, None, 1, rec, 0, 5, Bytes::new(), payload, None);
@@ -2380,16 +2292,64 @@ mod tests {
                     let payload = PayloadSource::Immediate(Bytes::from(vec![i as u8; len]));
                     fabric.execute(0, memfifo_desc(1, rec, payload));
                 }
+                // And one one-sided transfer: a 1- or 3-packet put, a
+                // remote get, a fetch-add or a max, in turn.
+                let none = PayloadSource::Immediate(Bytes::new());
+                let (kind, payload) = match i % 5 {
+                    k @ (0 | 1) => {
+                        let len = if k == 0 { 64 } else { 1200 };
+                        landed.add_expected(len as u64);
+                        let data = vec![!(i as u8); len];
+                        let payload = match k {
+                            0 => PayloadSource::Immediate(Bytes::from(data)),
+                            _ => {
+                                let region = MemRegion::from_vec(data);
+                                PayloadSource::Region { region, offset: 0, len }
+                            }
+                        };
+                        let (dst_region, dst_offset) = (window.clone(), i * 1200);
+                        let rec_counter = Some(landed.clone());
+                        (XferKind::DirectPut { dst_region, dst_offset, rec_counter }, payload)
+                    }
+                    2 => {
+                        landed.add_expected(64);
+                        let (dst_region, dst_offset) = (landing.clone(), i * 64);
+                        let rec_counter = Some(landed.clone());
+                        let back = XferKind::DirectPut { dst_region, dst_offset, rec_counter };
+                        let region = remote.clone();
+                        let src = PayloadSource::Region { region, offset: 0, len: 64 };
+                        (XferKind::RemoteGet { payload: Box::new(one_sided(0, back, src)) }, none)
+                    }
+                    k => {
+                        let region = replies.clone();
+                        let rmw = XferKind::Rmw {
+                            win_key: 1,
+                            dst_region: word.clone(),
+                            dst_offset: 0,
+                            op: if k == 3 { RmwOp::FetchAdd } else { RmwOp::Max },
+                            operand: i as u64,
+                            compare: 0,
+                            reply: Some(crate::descriptor::RmwReply { region, offset: i * 8 }),
+                        };
+                        (rmw, none)
+                    }
+                };
+                fabric.execute(0, one_sided(1, kind, payload));
                 fabric.pump_links(0, usize::MAX);
+                fabric.pump_sys(1, usize::MAX);
+                fabric.pump_links(1, usize::MAX);
                 drain(&fabric);
             }
             for _ in 0..10_000 {
-                if fabric.links_idle(0) {
+                if fabric.links_idle(0) && fabric.links_idle(1) {
                     break;
                 }
                 fabric.pump_links(0, usize::MAX);
+                fabric.pump_sys(1, usize::MAX);
+                fabric.pump_links(1, usize::MAX);
             }
-            assert!(fabric.links_idle(0), "every frame acked");
+            assert!(fabric.links_idle(0) && fabric.links_idle(1), "every frame acked");
+            assert!(landed.is_ok() && landed.is_complete(), "every put and get landed");
             drain(&fabric);
             let ras = fabric.ras_counters();
             let counts = vec![
@@ -2399,19 +2359,33 @@ mod tests {
                 ras.reorder_depth.value(),
                 ras.delivery_failures.value(),
                 fabric.counters(0).packets_dropped.value(),
+                fabric.counters(1).packets_dropped.value(),
             ];
             let (events, _) = fabric.ras_events();
             let sig =
                 events.iter().map(|e| (e.tick, e.kind, e.src_node, e.dst_node, e.detail)).collect();
-            (counts, sig, delivered)
+            let bytes = vec![window.to_vec(), word.to_vec(), landing.to_vec(), replies.to_vec()];
+            (counts, sig, delivered, bytes)
         };
         let peeked = run(false);
         let queued = run(true);
         assert_eq!(peeked.0, queued.0, "ras.* counts");
         assert_eq!(peeked.1, queued.1, "RAS event signatures");
         assert_eq!(peeked.2, queued.2, "delivered (msg_id, link_seq, short) sequence");
+        assert!(peeked.3 == queued.3, "destination bytes");
         // 150 three-packet messages and 450 one-packet ones.
         assert_eq!(peeked.2.len(), 150 * 3 + 450, "every packet exactly once");
+        for i in (0..N).filter(|i| i % 5 < 2) {
+            let len = if i % 5 == 0 { 64 } else { 1200 };
+            let put = &peeked.3[0][i * 1200..i * 1200 + len];
+            assert!(put.iter().all(|&b| b == !(i as u8)), "put {i} landed once, intact");
+        }
+        // Max never lowers the word, so it ends at least at the adds' sum.
+        let fetch_adds: u64 = (0..N as u64).filter(|i| i % 5 == 3).sum();
+        assert!(
+            u64::from_le_bytes(peeked.3[1][..8].try_into().unwrap()) >= fetch_adds,
+            "every fetch-add applied"
+        );
         assert!(
             peeked.1.iter().any(|e| e.1 == RasEventKind::Retransmit),
             "the plan actually bit"

@@ -84,8 +84,8 @@ pub struct InjFifoId(pub u16);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RecFifoId(pub u16);
 
-/// An injection FIFO: descriptors queued by the owning context, drained by
-/// an engine (inline or threaded).
+/// An injection FIFO: descriptors queued by the owning context, drained
+/// when that context pumps it from `advance`.
 ///
 /// Beyond the descriptor queue, the FIFO owns every sequence counter the
 /// send fast path needs — its message-id lane and its fault-free link

@@ -22,10 +22,10 @@
 //!   into the destination reception FIFO (waking its wakeup region), applies
 //!   direct puts to destination memory and decrements reception counters,
 //!   and queues remote-get payload descriptors on the destination's system
-//!   injection FIFO.
-//! * [`engine`] — who pumps injection: inline from a context's `advance`
-//!   (deterministic, the default) or dedicated engine threads per node
-//!   mirroring the MU's parallel message engines.
+//!   injection FIFO. Every descriptor kind reaches delivery through one fate
+//!   oracle. Descriptors execute when the owning context pumps its FIFOs
+//!   from `advance` (PAMI's commthreads supply asynchronous progress by
+//!   advancing contexts, not through a second engine model).
 //!
 //! Ordering: one (source context → destination) pair always uses the same
 //! injection FIFO (PAMI pins it by destination) and packets of a FIFO are
@@ -38,7 +38,6 @@ pub mod batch;
 pub mod comb;
 pub mod crc;
 pub mod descriptor;
-pub mod engine;
 pub mod fabric;
 pub mod faults;
 pub mod fifo;
@@ -51,7 +50,6 @@ pub use batch::{push_record, record_size, BatchRecord, RecordIter};
 pub use bgq_hw::{Counter, DeliveryFault};
 pub use comb::CombCounters;
 pub use descriptor::{Descriptor, PayloadSource, RmwOp, RmwReply, XferKind};
-pub use engine::EngineMode;
 pub use fabric::{MuCounters, MuFabric, MuFabricBuilder, MU_PACKET_COUNTER_SAMPLE};
 pub use faults::{Fate, FaultInjector, FaultPlan, FaultPlanError, FaultRates, LinkFault, RetryConfig};
 pub use link::{RasCounters, RasEvent, RasEventKind, RasObserver, RasRing};

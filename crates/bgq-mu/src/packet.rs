@@ -3,6 +3,8 @@
 use bgq_hw::MemRegion;
 use bytes::Bytes;
 
+use crate::descriptor::PayloadSource;
+
 /// A packet's payload — either bytes carried in the packet itself or a
 /// zero-copy window into the *source* node's registered memory.
 ///
@@ -78,6 +80,19 @@ impl PacketPayload {
 impl From<Bytes> for PacketPayload {
     fn from(b: Bytes) -> Self {
         PacketPayload::Inline(b)
+    }
+}
+
+/// A whole descriptor payload as one packet payload, by move: immediate
+/// bytes stay inline, a region stays a zero-copy window.
+impl From<PayloadSource> for PacketPayload {
+    fn from(p: PayloadSource) -> Self {
+        match p {
+            PayloadSource::Immediate(b) => PacketPayload::Inline(b),
+            PayloadSource::Region { region, offset, len } => {
+                PacketPayload::Region { region, offset, len }
+            }
+        }
     }
 }
 

@@ -19,9 +19,11 @@
 //! reliable-channel frame arrivals alike) to the transport, which may
 //! deposit immediately, or buffer and schedule — whatever its clock says.
 //!
-//! Direct puts and remote-get bounces stay synchronous: they model DMA into
-//! registered memory, observable only through reception counters, and the
-//! co-simulation's virtual timing applies to the message path.
+//! Direct puts, remote-get bounces and rmws stay synchronous: they model
+//! DMA into registered memory, observable only through reception counters,
+//! and the co-simulation's virtual timing applies to the message path. A
+//! scheduling transport drains what it buffered on its own clock (the
+//! co-simulation harness pumps it); the fabric never pumps it.
 
 use std::sync::Arc;
 
@@ -50,14 +52,6 @@ pub trait Transport: Send + Sync {
         npackets: u64,
         make: &mut dyn FnMut(u64) -> MuPacket,
     );
-
-    /// Deposit whatever is due at the transport's current (virtual) time.
-    /// Called from the engine pump loops ([`crate::engine`]) and from
-    /// [`crate::fabric::MuFabric::pump_transport`]; returns deposits
-    /// performed. The synchronous default has nothing pending.
-    fn pump(&self) -> usize {
-        0
-    }
 
     /// Account one link-layer control frame (a selective-repeat ack/SACK of
     /// `bytes` on the wire) crossing from `src_node` to `dst_node`. Control

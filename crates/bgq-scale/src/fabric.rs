@@ -220,14 +220,6 @@ impl Transport for VirtualFabric {
         self.scheduled.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn pump(&self) -> usize {
-        let mut done = 0;
-        for node in 0..self.shards.len() as u32 {
-            done += self.pump_node(node);
-        }
-        done
-    }
-
     fn deliver_control(&self, src_node: u32, dst_node: u32, bytes: u64) {
         // A control frame deposits nothing, but it occupies the
         // (src, dst) path on the wire: charge its serialization through

@@ -21,8 +21,7 @@ use std::sync::Arc;
 
 use bgq_hw::{Counter, L2TicketMutex, MemRegion, WakeupRegion, WorkQueue};
 use bgq_mu::{
-    Descriptor, EngineMode, InjFifo, InjFifoId, MuPacket, PayloadSource, RecFifo, RecFifoId,
-    XferKind,
+    Descriptor, InjFifo, InjFifoId, MuPacket, PayloadSource, RecFifo, RecFifoId, XferKind,
 };
 use bgq_upc::{Histogram, Stamp, Upc};
 use bytes::Bytes;
@@ -237,9 +236,6 @@ pub struct Context {
     /// Cached handle to the node's system injection FIFO (emptiness probe
     /// for the idle fast path).
     sys_fifo: Arc<InjFifo>,
-    /// Whether descriptors are executed inline from `advance` (cached from
-    /// the fabric's engine mode).
-    inline_engine: bool,
     mailbox: Arc<ShmMailbox>,
     wakeup: WakeupRegion,
     /// Posted work plus its post-time stamp for handoff-latency telemetry
@@ -310,7 +306,6 @@ impl Context {
             .map(|id| machine.fabric().inj_fifo(node, *id))
             .collect();
         let sys_fifo = machine.fabric().sys_fifo(node);
-        let inline_engine = matches!(machine.fabric().engine_mode(), EngineMode::Inline);
         let mailbox = Arc::new(ShmMailbox::new(512, wakeup.clone()));
         machine.register_endpoint(
             client,
@@ -332,7 +327,6 @@ impl Context {
             inj_ids,
             inj_fifos,
             sys_fifo,
-            inline_engine,
             mailbox,
             wakeup,
             work: WorkQueue::with_capacity(256),
@@ -630,50 +624,16 @@ impl Context {
         match proto {
             Protocol::Short if len <= bgq_torus::packet::MAX_PAYLOAD_BYTES => {
                 self.probes.sends_short.incr_pinned(self.offset as usize);
-                let fifo = &self.inj_fifos[args.dest.task as usize % self.inj_fifos.len()];
                 let metadata = self.envelope_for(stamp, &args.metadata);
-                if fifo.is_quiescent() {
-                    // Short tier: the destination's pinned FIFO has nothing
-                    // queued and no engine mid-pop, so ordering lets the
-                    // message skip the injection queue entirely — one
-                    // inline envelope, no descriptor, no completion-counter
-                    // allocation, no fragment loop. Immediate bytes move
-                    // into the envelope; a region source is read once here.
-                    let payload = match args.payload {
-                        PayloadSource::Immediate(b) => b,
-                        region => region.to_bytes(),
-                    };
-                    self.machine.fabric().send_short(
-                        self.node,
-                        Some(fifo),
-                        dest_node,
-                        rec_fifo,
-                        self.offset,
-                        args.dispatch,
-                        metadata,
-                        payload,
-                        args.local_done,
-                    );
-                } else {
-                    // Earlier traffic is still queued on this FIFO: keep
-                    // the per-destination ordering rule by queueing a
-                    // short-flagged descriptor behind it.
-                    let desc = Descriptor {
-                        dst_node: dest_node,
-                        dst_context: args.dest.context,
-                        src_context: self.offset,
-                        routing: bgq_torus::Routing::Deterministic,
-                        payload: args.payload,
-                        kind: XferKind::MemoryFifo {
-                            rec_fifo,
-                            dispatch: args.dispatch,
-                            metadata,
-                            short: true,
-                        },
-                        inj_counter: args.local_done,
-                    };
-                    self.machine.fabric().inject_handle(self.node, fifo, desc);
-                }
+                self.send_short_tier(
+                    args.dest,
+                    dest_node,
+                    rec_fifo,
+                    args.dispatch,
+                    metadata,
+                    args.payload,
+                    args.local_done,
+                );
             }
             Protocol::Short | Protocol::Eager => {
                 self.probes.sends_eager.incr_pinned(self.offset as usize);
@@ -919,22 +879,57 @@ impl Context {
             return;
         }
         let Ok(rec_fifo) = self.rec_fifo_of(dest) else { return };
-        let fifo = &self.inj_fifos[task as usize % self.inj_fifos.len()];
         let metadata = wire::envelope(self.task, stamp, &hdr);
         // A frame is always one packet (`MachineBuilder::aggregation` caps
         // `max_frame` at the packet payload).
         debug_assert!(frame.payload.len() <= bgq_torus::packet::MAX_PAYLOAD_BYTES);
+        self.send_short_tier(
+            dest,
+            dest_node,
+            rec_fifo,
+            DISPATCH_AGGR,
+            metadata,
+            PayloadSource::Immediate(frame.payload),
+            None,
+        );
+    }
+
+    /// Send one short-tier envelope on `dest`'s pinned injection FIFO.
+    /// When the FIFO is quiescent — nothing queued, no pump mid-pop —
+    /// ordering lets the message skip the injection queue entirely: one
+    /// inline envelope, no descriptor, no completion-counter allocation,
+    /// no fragment loop (immediate bytes move into the envelope; a region
+    /// source is read once here). Otherwise earlier traffic is still
+    /// queued, and a short-flagged descriptor queues behind it, which
+    /// keeps the per-destination ordering rule.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn send_short_tier(
+        &self,
+        dest: Endpoint,
+        dest_node: u32,
+        rec_fifo: RecFifoId,
+        dispatch: u16,
+        metadata: Bytes,
+        payload: PayloadSource,
+        local_done: Option<Counter>,
+    ) {
+        let fifo = &self.inj_fifos[dest.task as usize % self.inj_fifos.len()];
         if fifo.is_quiescent() {
+            let payload = match payload {
+                PayloadSource::Immediate(b) => b,
+                region => region.to_bytes(),
+            };
             self.machine.fabric().send_short(
                 self.node,
                 Some(fifo),
                 dest_node,
                 rec_fifo,
                 self.offset,
-                DISPATCH_AGGR,
+                dispatch,
                 metadata,
-                frame.payload,
-                None,
+                payload,
+                local_done,
             );
         } else {
             let desc = Descriptor {
@@ -942,16 +937,11 @@ impl Context {
                 dst_context: dest.context,
                 src_context: self.offset,
                 routing: bgq_torus::Routing::Deterministic,
-                payload: PayloadSource::Immediate(frame.payload),
-                kind: XferKind::MemoryFifo {
-                    rec_fifo,
-                    dispatch: DISPATCH_AGGR,
-                    metadata,
-                    short: true,
-                },
-                inj_counter: None,
+                payload,
+                kind: XferKind::MemoryFifo { rec_fifo, dispatch, metadata, short: true },
+                inj_counter: local_done,
             };
-            self.machine.fabric().inject_handle(self.node, fifo, desc);
+            fifo.queue.push(desc);
         }
     }
 
@@ -1033,7 +1023,7 @@ impl Context {
     fn inject_to(&self, dest_task: u32, desc: Descriptor) {
         // Cached-handle injection: no FIFO-table lookup on the send path.
         let fifo = &self.inj_fifos[dest_task as usize % self.inj_fifos.len()];
-        self.machine.fabric().inject_handle(self.node, fifo, desc);
+        fifo.queue.push(desc);
     }
 
     /// Resolve `dest` to its physical address, typed-error on miss. The
@@ -1164,10 +1154,9 @@ impl Context {
             // treating every pending record as work would put the whole
             // advance walk on the per-send cost of an aggregated flood.
             && self.aggr.as_ref().is_none_or(|a| !a.due_now())
-            && (!self.inline_engine
-                || (self.inj_fifos.iter().all(|f| f.queue.is_empty())
-                    && self.sys_fifo.queue.is_empty()
-                    && self.machine.fabric().links_idle(self.node)))
+            && self.inj_fifos.iter().all(|f| f.queue.is_empty())
+            && self.sys_fifo.queue.is_empty()
+            && self.machine.fabric().links_idle(self.node)
     }
 
     /// Keep advancing (yielding the CPU in between) until `cond` is true.
@@ -1179,17 +1168,16 @@ impl Context {
         }
     }
 
-    /// Whether the context believes it has nothing to do (used by
-    /// commthreads to decide to park). Non-blocking: reads only lock-free
-    /// queue-emptiness probes and the `pending_internal` counter, so a
-    /// commthread can poll it while another thread holds the advance lock.
+    /// Whether everything this context started has left it: no posted
+    /// work, nothing to receive, no internal obligation, no descriptor
+    /// unpumped in its injection FIFOs or the node's system FIFO, no frame
+    /// awaiting an ack on the node's link channels, and no record still
+    /// buffered for aggregation. `ctx.advance_until(|| ctx.is_quiescent())`
+    /// drains a context before its results are read. Non-blocking: reads
+    /// only lock-free probes, so it can be polled while another thread
+    /// holds the advance lock.
     pub fn is_quiescent(&self) -> bool {
-        self.work.is_empty()
-            && self.rec_fifo.is_empty()
-            && self.mailbox.queue.is_empty()
-            && self.pending_internal.load(Ordering::Acquire) == 0
-            && self.aggr.as_ref().is_none_or(|a| a.pending() == 0)
-            && self.machine.fabric().links_idle(self.node)
+        self.observably_idle() && self.aggr.as_ref().is_none_or(|a| a.pending() == 0)
     }
 
     fn advance_locked(&self, st: &mut AdvanceState) -> usize {
@@ -1229,24 +1217,21 @@ impl Context {
             }
         }
 
-        // 2. Pump this context's own injection FIFOs (inline engine mode;
-        //    with threaded engines this finds them empty).
-        if self.inline_engine {
-            for fifo in &self.inj_fifos {
-                events += self.machine.fabric().pump_inj_handle(self.node, fifo, INJ_BUDGET);
-            }
-            // 3. Service the node's system FIFO (remote gets targeting any
-            //    context on this node) and, under a fault plan, the node's
-            //    link channels (retransmit timers, delayed frames); one
-            //    context at a time. Gated on observable work so the common
-            //    (no remote gets, no faults) case costs two lock-free
-            //    emptiness probes, not a try_lock RMW on a mutex cacheline
-            //    shared by every context on the node.
-            if !self.sys_fifo.queue.is_empty() || !self.machine.fabric().links_idle(self.node) {
-                if let Some(_guard) = self.machine.sys_pump[self.node as usize].try_lock() {
-                    events += self.machine.fabric().pump_sys(self.node, SYS_BUDGET);
-                    events += self.machine.fabric().pump_links(self.node, SYS_BUDGET);
-                }
+        // 2. Pump this context's own injection FIFOs.
+        for fifo in &self.inj_fifos {
+            events += self.machine.fabric().pump_inj_handle(self.node, fifo, INJ_BUDGET);
+        }
+        // 3. Service the node's system FIFO (remote gets targeting any
+        //    context on this node) and, under a fault plan, the node's link
+        //    channels (retransmit timers, delayed frames); one context at a
+        //    time. Gated on observable work so the common (no remote gets,
+        //    no faults) case costs two lock-free emptiness probes, not a
+        //    try_lock RMW on a mutex cacheline shared by every context on
+        //    the node.
+        if !self.sys_fifo.queue.is_empty() || !self.machine.fabric().links_idle(self.node) {
+            if let Some(_guard) = self.machine.sys_pump[self.node as usize].try_lock() {
+                events += self.machine.fabric().pump_sys(self.node, SYS_BUDGET);
+                events += self.machine.fabric().pump_links(self.node, SYS_BUDGET);
             }
         }
 

@@ -20,7 +20,7 @@ use std::sync::{Arc, OnceLock};
 
 use bgq_collnet::{ClassRoute, ClassRouteManager, CollNet, GiBarrier};
 use bgq_hw::{Counter, GlobalVa, MemRegion, WakeupUnit};
-use bgq_mu::{EngineMode, FaultPlan, MuFabric, PayloadSource, RecFifoId};
+use bgq_mu::{FaultPlan, MuFabric, PayloadSource, RecFifoId};
 use bgq_torus::{Rectangle, TorusShape};
 use bgq_upc::Upc;
 use parking_lot::{Mutex, RwLock};
@@ -218,7 +218,6 @@ enum PolicyChoice {
 pub struct MachineBuilder {
     shape: TorusShape,
     ppn: usize,
-    engine_mode: EngineMode,
     eager_limit: usize,
     policy: PolicyChoice,
     inj_fifos_per_context: u16,
@@ -258,12 +257,6 @@ impl MachineBuilder {
     /// `VirtualFabric` here so delivery order follows virtual link timing.
     pub fn transport(mut self, transport: Arc<dyn bgq_mu::Transport>) -> Self {
         self.transport = Some(transport);
-        self
-    }
-
-    /// MU engine mode (default inline).
-    pub fn engine_mode(mut self, mode: EngineMode) -> Self {
-        self.engine_mode = mode;
         self
     }
 
@@ -410,7 +403,6 @@ impl MachineBuilder {
             FaultPlan::from_env().unwrap_or_else(|e| panic!("PAMI_FAULT_PLAN: {e}"))
         });
         let mut fabric_builder = MuFabric::builder(self.shape)
-            .engine_mode(self.engine_mode)
             .inj_fifo_capacity(self.inj_fifo_capacity)
             .rec_fifo_capacity(self.rec_fifo_capacity)
             .telemetry(telemetry.clone());
@@ -535,7 +527,7 @@ pub struct Machine {
     wakeups: Vec<WakeupUnit>,
     global_va: Vec<GlobalVa>,
     /// Per-node guard so only one context at a time services the node's
-    /// system FIFO (remote gets) in inline engine mode.
+    /// system FIFO (remote gets) and link channels.
     pub(crate) sys_pump: Vec<Mutex<()>>,
     classroutes: ClassRouteManager,
     collnet: CollNet,
@@ -581,7 +573,6 @@ impl Machine {
         MachineBuilder {
             shape,
             ppn: 1,
-            engine_mode: EngineMode::Inline,
             eager_limit: 4096,
             policy: PolicyChoice::Static,
             inj_fifos_per_context: 4,

@@ -95,6 +95,10 @@ fn exchange(
             ctx.advance_until(|| done.is_complete());
             assert!(done.is_ok(), "all sends locally complete: {:?}", done.fault());
             ctx.advance_until(|| seen2.load(Ordering::SeqCst) == msgs as u64);
+            // The receiver can hold every record while frames whose ack
+            // was lost still await their RTO probe: drain them, so the
+            // fault history read after the run is the whole history.
+            ctx.advance_until(|| ctx.is_quiescent());
         } else {
             ctx.advance_until(|| seen2.load(Ordering::SeqCst) == msgs as u64);
         }

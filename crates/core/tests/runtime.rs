@@ -340,6 +340,54 @@ fn one_sided_put_and_get_via_windows() {
 }
 
 #[test]
+fn unpumped_descriptors_keep_a_context_from_quiescing() {
+    let machine = Machine::with_nodes(2).build();
+    let c0 = Client::create(&machine, 0, "t", 1);
+    let c1 = Client::create(&machine, 1, "t", 1);
+    let (ctx, target_ctx) = (c0.context(0), c1.context(0));
+    let target = MemRegion::zeroed(64);
+    let key = machine.create_window(target.clone(), None);
+    assert!(ctx.is_quiescent(), "a fresh context has nothing in flight");
+
+    // The put's descriptor sits in an injection FIFO until an advance
+    // pumps it.
+    ctx.put(pami::PutArgs {
+        dest_task: 1,
+        window: pami::WindowRef::at(key, 0),
+        payload: PayloadSource::Region {
+            region: MemRegion::from_vec(vec![7u8; 64]),
+            offset: 0,
+            len: 64,
+        },
+        local_done: None,
+    })
+    .unwrap();
+    assert!(!ctx.is_quiescent(), "an unpumped put is still in flight");
+    ctx.advance_until(|| ctx.is_quiescent());
+    assert_eq!(target.to_vec(), vec![7u8; 64]);
+
+    // A remote get lands in the target node's system FIFO, which keeps
+    // that node's context busy until it services the get.
+    let dst = MemRegion::zeroed(64);
+    let got = Counter::new();
+    got.add_expected(64);
+    ctx.get(pami::GetArgs {
+        dest_task: 1,
+        window: pami::WindowRef::at(key, 0),
+        dst: pami::MemSlot::base(dst.clone()),
+        len: 64,
+        done: Some(got.clone()),
+    })
+    .unwrap();
+    ctx.advance_until(|| ctx.is_quiescent());
+    assert!(!got.is_complete());
+    assert!(!target_ctx.is_quiescent(), "a queued remote get is still in flight");
+    target_ctx.advance_until(|| target_ctx.is_quiescent());
+    assert!(got.is_complete());
+    assert_eq!(dst.to_vec(), vec![7u8; 64]);
+}
+
+#[test]
 fn post_handoff_runs_on_advancing_thread() {
     let machine = Machine::with_nodes(1).build();
     let client = Client::create(&machine, 0, "t", 1);
